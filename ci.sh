@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, and the test suite in both feature
-# configurations (parallel selector hot path on and off).
+# Local CI: formatting, lints, the test suite at both ends of the rayon
+# and scheduler pool-size ranges, the fault-injection lanes, and bench
+# smokes. There is one build configuration; parallelism and telemetry
+# are runtime properties only.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (default features)"
+echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy (serial/no-telemetry: --no-default-features)"
-cargo clippy -p chef-linalg -p chef-model -p chef-data -p chef-core -p chef-bench -p chef-obs -p chef-serve --all-targets --no-default-features -- -D warnings
 
 echo "==> no-sleep guard (daemon suites must synchronize on condvars, not time)"
 # Sleep-based tests are flaky under load and slow everywhere; the serve
@@ -21,32 +20,29 @@ if grep -rn "thread::sleep" tests/serve_*.rs crates/serve/src; then
   exit 1
 fi
 
-echo "==> cargo test (default features, 1 rayon worker)"
+echo "==> no-feature-fork guard (parallelism and telemetry are runtime-only)"
+# The serial path is the 1-worker pool and the quiet path is a disabled
+# Telemetry handle; neither may come back as a cargo feature.
+if grep -rnE 'feature *= *"(parallel|telemetry|enabled)"' crates tests; then
+  echo "parallel/telemetry/enabled must not be cargo features" >&2
+  exit 1
+fi
+
+echo "==> cargo test (1 rayon worker)"
 # The shim's pool size is env-pinned; running the suite at both ends of
 # {1,4} workers covers the serial dispatch path and the chunked
 # parallel paths (serial/parallel equivalence tests then compare real
 # threads).
 RAYON_NUM_THREADS=1 cargo test -q --workspace
 
-echo "==> cargo test (default features, 4 rayon workers)"
+echo "==> cargo test (4 rayon workers)"
 RAYON_NUM_THREADS=4 cargo test -q --workspace
-
-echo "==> cargo test (serial: --no-default-features)"
-# --no-default-features applies to the packages that own the `parallel`
-# and `telemetry` features; the rest of the workspace is unaffected.
-cargo test -q -p chef-linalg -p chef-model -p chef-data -p chef-core -p chef-bench -p chef-obs -p chef-serve --no-default-features
 
 echo "==> cargo test (fault injection: crash/torn-write/bit-flip replay equivalence)"
 cargo test -q -p chef-core --features fault-inject --test checkpoint_resume --test store_equivalence
 
-echo "==> cargo test (fault injection, serial: --no-default-features)"
-cargo test -q -p chef-core --no-default-features --features fault-inject --test checkpoint_resume --test store_equivalence
-
 echo "==> cargo test (daemon fault harness: kill-mid-round / torn-checkpoint / stale-replay under serve)"
 cargo test -q -p chef-serve --features fault-inject --test serve_fault
-
-echo "==> cargo test (daemon fault harness, serial: --no-default-features)"
-cargo test -q -p chef-serve --no-default-features --features fault-inject --test serve_fault
 
 # The pooled scheduler must preserve every serve invariant at both ends
 # of its pool-size range: 1 worker (fully serialized slices) and the
@@ -77,17 +73,11 @@ serve_smoke() {
   fi
 }
 
-echo "==> chef-serve stdio smoke (default features)"
+echo "==> chef-serve stdio smoke"
 serve_smoke
-
-echo "==> chef-serve stdio smoke (--no-default-features)"
-serve_smoke --no-default-features
 
 echo "==> serve_scale bench (quick smoke: pooled vs thread-per-job, thread census + bit identity)"
 cargo run -q --release -p chef-serve --bin serve_scale -- --quick
-
-echo "==> serve_scale bench (quick smoke, --no-default-features)"
-cargo run -q --release -p chef-serve --bin serve_scale --no-default-features -- --quick
 
 echo "==> infl_kernels bench (quick smoke: batched kernels run end-to-end)"
 cargo run -q --release -p chef-bench --bin infl_kernels -- --quick
@@ -95,11 +85,8 @@ cargo run -q --release -p chef-bench --bin infl_kernels -- --quick
 echo "==> par_speedup bench (quick smoke: thread sweep re-execs at 1/2/4 workers)"
 cargo run -q --release -p chef-bench --bin par_speedup -- --quick --threads 1,2,4
 
-echo "==> train_kernels bench (quick smoke, default features)"
+echo "==> train_kernels bench (quick smoke)"
 cargo run -q --release -p chef-bench --bin train_kernels -- --quick
-
-echo "==> train_kernels bench (quick smoke, --no-default-features)"
-cargo run -q --release -p chef-bench --bin train_kernels --no-default-features -- --quick
 
 echo "==> oocs_scale bench (quick smoke, eager integrity: in-memory vs mmap bit-identity + RSS)"
 cargo run -q --release -p chef-bench --bin oocs_scale -- --quick --integrity eager
@@ -116,17 +103,10 @@ if compgen -G "target/oocs_scale-*" > /dev/null; then
   exit 1
 fi
 
-echo "==> cargo test --doc (default features)"
+echo "==> cargo test --doc"
 cargo test -q --doc --workspace
 
-echo "==> cargo test --doc (--no-default-features)"
-cargo test -q --doc -p chef-linalg -p chef-model -p chef-data -p chef-core -p chef-bench -p chef-obs -p chef-serve --no-default-features
-
-echo "==> cargo doc (default features, warnings denied)"
+echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
-
-echo "==> cargo doc (--no-default-features, warnings denied)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-  -p chef-linalg -p chef-model -p chef-data -p chef-core -p chef-bench -p chef-obs -p chef-serve --no-default-features
 
 echo "ci.sh: all green"

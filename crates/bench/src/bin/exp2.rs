@@ -222,8 +222,6 @@ fn main() {
     w.begin_object();
     w.field_u64("available_cores", chef_obs::available_cores() as u64);
     w.field_u64("rayon_threads", rayon::current_num_threads() as u64);
-    w.field_bool("parallel_feature", cfg!(feature = "parallel"));
-    w.field_bool("telemetry_feature", cfg!(feature = "telemetry"));
     w.field_u64("scale", scale as u64);
     w.field_u64("reps", reps as u64);
     w.field_u64("b", b as u64);

@@ -30,7 +30,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut csv_rows = Vec::new();
     let mut speedups = Vec::new();
-    let mut cell_docs: Vec<(String, &'static str, Option<String>)> = Vec::new();
+    let mut cell_docs: Vec<(String, &'static str, String)> = Vec::new();
 
     for spec in &suite {
         let prepared = prepare(spec, 0);
@@ -88,9 +88,7 @@ fn main() {
 
     // telemetry.v1 companion: one full per-cell export (rounds with
     // exact-vs-replay step counts, spans, histograms) per dataset ×
-    // constructor, embedded verbatim (DESIGN.md §10). Requires the
-    // `telemetry` feature; without it the cells export nothing and the
-    // document records only the context.
+    // constructor, embedded verbatim (DESIGN.md §10).
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("schema", chef_obs::SCHEMA_VERSION);
@@ -98,8 +96,6 @@ fn main() {
     w.key("context");
     w.begin_object();
     w.field_u64("available_cores", chef_obs::available_cores() as u64);
-    w.field_bool("parallel_feature", cfg!(feature = "parallel"));
-    w.field_bool("telemetry_feature", cfg!(feature = "telemetry"));
     w.field_u64("scale", scale as u64);
     w.field_u64("rounds", rounds as u64);
     w.field_u64("b", b as u64);
@@ -107,7 +103,6 @@ fn main() {
     w.key("cells");
     w.begin_array();
     for (dataset, constructor, doc) in &cell_docs {
-        let Some(doc) = doc else { continue };
         w.begin_object();
         w.field_str("dataset", dataset);
         w.field_str("constructor", constructor);

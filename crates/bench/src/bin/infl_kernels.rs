@@ -9,8 +9,8 @@
 //!   allocating `hvp` call per batch sample;
 //! * `batched_serial` — the structure-aware `score_block`/`hvp_block`
 //!   closed form on one thread (`*_serial` entry points);
-//! * `batched` — the dispatching public API (threaded when the
-//!   `parallel` feature is on).
+//! * `batched` — the dispatching public API (threaded on a multi-worker
+//!   pool).
 //!
 //! Each rayon pool size runs in a re-exec'd child (see
 //! `chef_bench::sweep`); the parent assembles `BENCH_infl_kernels.json`
@@ -233,10 +233,7 @@ fn main() {
     };
     let cores = sweep::available_cores();
     let threads = rayon::current_num_threads();
-    let parallel_feature = cfg!(feature = "parallel");
-    println!(
-        "infl_kernels: cores={cores} rayon_threads={threads} parallel_feature={parallel_feature} quick={quick}"
-    );
+    println!("infl_kernels: cores={cores} rayon_threads={threads} quick={quick}");
 
     if sweep::is_child(&args) {
         let cases = measure(sizes, reps);
@@ -261,8 +258,6 @@ fn main() {
     w.begin_object();
     w.field_u64("available_cores", cores as u64);
     w.field_u64("rayon_threads", sweep::baseline(&entries).threads as u64);
-    w.field_bool("parallel_feature", parallel_feature);
-    w.field_bool("telemetry_feature", cfg!(feature = "telemetry"));
     w.field_u64("reps", reps as u64);
     w.field_u64("dim", 32);
     w.field_u64("num_classes", 2);

@@ -677,7 +677,6 @@ fn main() {
         "available_cores",
         chef_bench::sweep::available_cores() as u64,
     );
-    w.field_bool("parallel_feature", cfg!(feature = "parallel"));
     w.end_object();
     w.key("ten_m");
     w.begin_object();

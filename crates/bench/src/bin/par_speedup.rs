@@ -3,9 +3,8 @@
 //!
 //! Times one Infl ranking pass (`rank_infl_with_vector`) and one
 //! Increm-Infl bound pass (`IncremInfl::candidates`) at n ∈ {10k, 50k,
-//! 200k} candidates, comparing the always-compiled `*_serial` entry
-//! points against the dispatching (parallel when the `parallel` feature
-//! is on) public API. Because the rayon shim pins its pool size once per
+//! 200k} candidates, comparing the `*_serial` entry points against the
+//! dispatching (parallel on a multi-worker pool) public API. Because the rayon shim pins its pool size once per
 //! process, each thread count runs in a re-exec'd child (see
 //! `chef_bench::sweep`); the parent assembles `BENCH_selector.json` at
 //! the workspace root as a telemetry.v1 document (see DESIGN.md §10)
@@ -16,9 +15,7 @@
 //!
 //! The timed kernels carry no instrumentation at all (counters are
 //! derived at phase level, see DESIGN.md §10), so the measured numbers
-//! are identical with the `telemetry` feature on or off — the feature
-//! flag is recorded in `context.telemetry_feature` to make that
-//! checkable.
+//! do not depend on whether a telemetry handle is enabled.
 //!
 //! Usage: `cargo run --release -p chef-bench --bin par_speedup`
 //! (`--reps R` for best-of-R timing, `--threads 1,2,4` to pick the
@@ -196,10 +193,7 @@ fn main() {
     };
     let cores = sweep::available_cores();
     let threads = rayon::current_num_threads();
-    let parallel_feature = cfg!(feature = "parallel");
-    println!(
-        "par_speedup: cores={cores} rayon_threads={threads} parallel_feature={parallel_feature} quick={quick}"
-    );
+    println!("par_speedup: cores={cores} rayon_threads={threads} quick={quick}");
 
     if sweep::is_child(&args) {
         let cases = measure(sizes, reps);
@@ -224,8 +218,6 @@ fn main() {
     w.begin_object();
     w.field_u64("available_cores", cores as u64);
     w.field_u64("rayon_threads", sweep::baseline(&entries).threads as u64);
-    w.field_bool("parallel_feature", parallel_feature);
-    w.field_bool("telemetry_feature", cfg!(feature = "telemetry"));
     w.field_u64("reps", reps as u64);
     w.field_str("unit", "ms (best of reps)");
     sweep::write_context_fields(&mut w, &entries);

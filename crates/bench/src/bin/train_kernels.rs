@@ -389,10 +389,7 @@ fn main() {
     let (cg_n, cg_rounds) = if quick { (2_000, 3) } else { (50_000, 6) };
     let cores = sweep::available_cores();
     let threads = rayon::current_num_threads();
-    let parallel_feature = cfg!(feature = "parallel");
-    println!(
-        "train_kernels: cores={cores} rayon_threads={threads} parallel_feature={parallel_feature} quick={quick}"
-    );
+    println!("train_kernels: cores={cores} rayon_threads={threads} quick={quick}");
 
     if sweep::is_child(&args) {
         sweep::emit_child_result(&measure_fragment(sizes, reps, cg_n, cg_rounds));
@@ -417,8 +414,6 @@ fn main() {
     w.begin_object();
     w.field_u64("available_cores", cores as u64);
     w.field_u64("rayon_threads", sweep::baseline(&entries).threads as u64);
-    w.field_bool("parallel_feature", parallel_feature);
-    w.field_bool("telemetry_feature", cfg!(feature = "telemetry"));
     w.field_u64("reps", reps as u64);
     w.field_u64("dim", 32);
     w.field_u64("num_classes", 2);

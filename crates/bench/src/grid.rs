@@ -37,9 +37,8 @@ pub struct CellResult {
     pub cleaned_f1: f64,
     /// Full pipeline report (timings, rounds).
     pub report: PipelineReport,
-    /// Exported telemetry.v1 document for this cell (None when the
-    /// `telemetry` feature is off).
-    pub telemetry_json: Option<String>,
+    /// Exported telemetry.v1 document for this cell.
+    pub telemetry_json: String,
 }
 
 /// Build the pipeline configuration of a cell.
@@ -97,7 +96,9 @@ pub fn run_cell(prepared: &PreparedDataset, cell: &Cell) -> CellResult {
         uncleaned_f1: report.initial_test_f1,
         cleaned_f1: report.final_test_f1(),
         report,
-        telemetry_json: telemetry.export_json("bench.cell"),
+        telemetry_json: telemetry
+            .export_json("bench.cell")
+            .expect("enabled telemetry exports"),
     }
 }
 
@@ -162,14 +163,8 @@ mod tests {
         assert!((0.0..=1.0).contains(&r.uncleaned_f1));
         assert!((0.0..=1.0).contains(&r.cleaned_f1));
         assert_eq!(r.report.rounds.len(), 2);
-        #[cfg(feature = "telemetry")]
-        {
-            let json = r.telemetry_json.as_deref().expect("telemetry export");
-            assert!(json.contains("\"schema\":\"telemetry.v1\""));
-            assert!(json.contains("\"kind\":\"bench.cell\""));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        assert!(r.telemetry_json.is_none());
+        assert!(r.telemetry_json.contains("\"schema\":\"telemetry.v1\""));
+        assert!(r.telemetry_json.contains("\"kind\":\"bench.cell\""));
     }
 
     #[test]

@@ -27,19 +27,9 @@
 //! paper's behaviour) can widen the interval to absorb that approximation.
 
 use crate::influence::{rank_infl_top_b_sharded, InflScore};
+use crate::PAR_GRAIN;
 use chef_linalg::kernels;
 use chef_model::{DatasetStore, Model};
-
-/// Minimum pool size before the `parallel` feature fans the provenance
-/// initialization / bound pass out to the thread pool. The fan-out is
-/// additionally gated on `rayon::current_num_threads() > 1`: on a 1-core
-/// pool the rayon split/join overhead is pure loss (BENCH_selector.json
-/// showed the parallel bound pass *slower* than serial at n=50k–200k on
-/// 1 core). The gate is machine-dependent, but both sides of every gated
-/// sweep are bit-identical (independent rows / full-row dot products),
-/// so it can only change which code runs, never what it computes.
-#[cfg(feature = "parallel")]
-const PAR_GRAIN: usize = 128;
 
 /// Pre-computed per-sample provenance (the "initialization step" state).
 ///
@@ -197,10 +187,10 @@ impl IncremInfl {
     /// Initialization step: pre-compute provenance for every training
     /// sample at the initial model `w⁽⁰⁾`.
     ///
-    /// With the `parallel` feature (default) and more than one worker
-    /// thread, the per-sample rows are computed across the thread pool;
-    /// every row is independent (no floating-point reduction), so the
-    /// provenance is bit-identical to the serial computation.
+    /// With more than one worker thread, the per-sample rows are computed
+    /// across the thread pool; every row is independent (no
+    /// floating-point reduction), so the provenance is bit-identical to
+    /// the serial computation.
     pub fn initialize<M: Model + ?Sized>(model: &M, data: &dyn DatasetStore, w0: &[f64]) -> Self {
         let m = model.num_params();
         let n = data.len();
@@ -218,12 +208,11 @@ impl IncremInfl {
             data.advise_range(lo, hi);
             // Let the store's background worker verify-and-warm the
             // next shard while this one is swept (no-op on in-memory
-            // data or serial builds; the sweep's output is independent
-            // of whether the hint is honored).
+            // data or with background prefetch off; the sweep's output is
+            // independent of whether the hint is honored).
             if k + 2 < bounds.len() {
                 data.prefetch_upcoming(bounds[k + 1], bounds[k + 2]);
             }
-            #[cfg(feature = "parallel")]
             if hi - lo >= PAR_GRAIN && rayon::current_num_threads() > 1 {
                 use rayon::prelude::*;
                 let mut slab: Vec<ProvenanceRow> = (lo..hi)
@@ -405,10 +394,10 @@ impl IncremInfl {
     /// guaranteed (under the Hessian-freeze approximation) to contain the
     /// top-`b` most influential samples at `w_k`.
     ///
-    /// With the `parallel` feature (default) pools of at least 128
-    /// samples run the bound pass across the thread pool; the entries
-    /// carry no cross-sample reduction, so the candidate set is
-    /// bit-identical to [`Self::candidates_serial`].
+    /// On a multi-worker pool, pools of at least 128 samples run the
+    /// bound pass across the thread pool; the entries carry no
+    /// cross-sample reduction, so the candidate set is bit-identical to
+    /// [`Self::candidates_serial`].
     #[allow(clippy::too_many_arguments)]
     pub fn candidates<M: Model + ?Sized>(
         &self,
@@ -423,8 +412,8 @@ impl IncremInfl {
         self.candidates_impl(model, data, w_k, v_pos, pool, b, gamma, true)
     }
 
-    /// Single-threaded [`Self::candidates`]. Always compiled; used as
-    /// the equivalence baseline and by the speedup bench.
+    /// Single-threaded [`Self::candidates`]. Used as the equivalence
+    /// baseline and by the speedup bench.
     #[allow(clippy::too_many_arguments)]
     pub fn candidates_serial<M: Model + ?Sized>(
         &self,
@@ -473,14 +462,8 @@ impl IncremInfl {
             .iter()
             .flat_map(|&i| i * c_count..(i + 1) * c_count)
             .collect();
-        #[cfg(feature = "parallel")]
         let use_parallel_sweep =
             allow_parallel && pool.len() >= PAR_GRAIN && rayon::current_num_threads() > 1;
-        #[cfg(not(feature = "parallel"))]
-        let use_parallel_sweep = {
-            let _ = allow_parallel;
-            false
-        };
         if use_parallel_sweep {
             kernels::gather_matvec(&self.provenance.grads0, m, pool, v_pos, &mut g_dots);
             kernels::gather_matvec(

@@ -17,6 +17,7 @@
 //! Hessian-vector products (§4.1.1) and reused for every sample, so a
 //! full pass costs one CG solve plus `C` per-class gradients per sample.
 
+use crate::PAR_GRAIN;
 use chef_linalg::cg::{conjugate_gradient, conjugate_gradient_from, CgConfig};
 use chef_linalg::{vector, Workspace};
 #[cfg(test)]
@@ -248,14 +249,6 @@ pub fn rank_infl<M: Model + ?Sized>(
     rank_infl_with_vector(model, data, w, &v, candidates, objective.gamma)
 }
 
-/// Minimum number of candidates before [`rank_infl_with_vector`] fans
-/// scoring out over the thread pool. Each candidate costs `C + 1` dense
-/// gradient dot products, so a lower grain than chef-model's
-/// accumulation gate pays off. Length-only, so the chosen code path is
-/// machine-independent.
-#[cfg(feature = "parallel")]
-const PAR_GRAIN: usize = 128;
-
 /// Candidates per [`Model::score_block`] call. Sized so one block's GEMM
 /// panels (`block × d` features, `block × C` probabilities and dots)
 /// stay cache-resident while still amortizing the panel setup.
@@ -325,8 +318,8 @@ fn score_block_into<M: Model + ?Sized>(
 }
 
 /// Score every candidate through the blocked kernel path, unsorted, in
-/// candidate order. Parallel builds fan [`SCORE_BLOCK`]-sized blocks out
-/// over the thread pool above [`PAR_GRAIN`] candidates — but only on a
+/// candidate order. [`SCORE_BLOCK`]-sized blocks fan out over the
+/// thread pool above [`PAR_GRAIN`] candidates — but only on a
 /// pool with more than one worker: at one worker the fan-out's
 /// per-block workspaces, output vectors and final merge are pure
 /// overhead (the cause of the parallel-slower-than-serial rank cells in
@@ -341,7 +334,6 @@ fn score_all_blocked<M: Model + ?Sized>(
     candidates: &[usize],
     gamma: f64,
 ) -> Vec<InflScore> {
-    #[cfg(feature = "parallel")]
     if candidates.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
         use rayon::prelude::*;
         let nblocks = candidates.len().div_ceil(SCORE_BLOCK);
@@ -401,9 +393,9 @@ fn score_candidate<M: Model + ?Sized>(
 /// one CG solve across selector variants).
 ///
 /// Scoring runs through the model's batched [`Model::score_block`]
-/// kernel in `SCORE_BLOCK`-sized blocks; with the `parallel` feature
-/// (default), candidate sets of at least `PAR_GRAIN` fan the blocks out
-/// over the thread pool. Per-sample dots are row-independent, so scores
+/// kernel in `SCORE_BLOCK`-sized blocks; on a multi-worker pool,
+/// candidate sets of at least `PAR_GRAIN` fan the blocks out over the
+/// thread pool. Per-sample dots are row-independent, so scores
 /// are bit-identical to the serial blocked path regardless of block
 /// grouping or candidate order, and the `(score, index)` sort makes the
 /// full ranking deterministic even under exact score ties.
@@ -420,10 +412,9 @@ pub fn rank_infl_with_vector<M: Model + ?Sized>(
     scores
 }
 
-/// Single-threaded [`rank_infl_with_vector`]. Always compiled; the
-/// public entry point produces bit-identical results above the parallel
-/// grain size, and the speedup bench calls this directly as the
-/// baseline.
+/// Single-threaded [`rank_infl_with_vector`]. The public entry point
+/// produces bit-identical results above the parallel grain size, and
+/// the speedup bench calls this directly as the baseline.
 pub fn rank_infl_with_vector_serial<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,

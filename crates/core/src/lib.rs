@@ -31,8 +31,8 @@
 //!
 //! Every phase reports into a [`Telemetry`] handle (`chef-obs`) threaded
 //! through [`PipelineConfig`]; see DESIGN.md §10 for the `telemetry.v1`
-//! schema. With the `telemetry` feature off the handle is a zero-sized
-//! no-op and the instrumentation compiles away.
+//! schema. A disabled handle records nothing and costs one `None` check
+//! per call.
 
 #![warn(missing_docs)]
 
@@ -77,3 +77,15 @@ pub use round::{AnnotationBatch, BatchItem, RoundLoop, RoundStep, SuspendedLoop}
 pub use selector::{
     InflSelector, SampleSelector, Selection, SelectorCheckpoint, SelectorContext, SelectorStats,
 };
+
+/// Minimum number of rows before a selector sweep — Infl candidate
+/// scoring, Increm-Infl provenance initialization and its bound pass —
+/// fans out over the thread pool. Each row costs only `C + 1` dense dot
+/// products, so the grain sits below chef-model's accumulation gate.
+/// The fan-out is additionally gated on `rayon::current_num_threads() >
+/// 1`: on a 1-worker pool the split/join overhead is pure loss
+/// (BENCH_selector.json showed the parallel bound pass *slower* than
+/// serial at n=50k–200k on 1 core). Both sides of every gated sweep are
+/// bit-identical (independent rows / full-row dot products), so the
+/// gates only change which code runs, never what it computes.
+const PAR_GRAIN: usize = 128;

@@ -43,9 +43,8 @@ pub struct PipelineConfig {
     /// Warm-start retraining from the previous round's parameters (for
     /// non-convex models; see [`ModelConstructor::warm_start`]).
     pub warm_start: bool,
-    /// Telemetry handle every phase reports into. Defaults to disabled;
-    /// with the `telemetry` feature off this field is a zero-sized no-op
-    /// and all instrumentation compiles away.
+    /// Telemetry handle every phase reports into. Defaults to disabled,
+    /// which records nothing and leaves every result bit-identical.
     pub telemetry: Telemetry,
     /// Durable checkpointing (DESIGN.md §12): when set, the loop writes a
     /// `checkpoint.v1` generation file every
@@ -101,8 +100,9 @@ pub struct RoundReport {
     /// Increm-Infl pruning counters, if the selector reported any.
     pub selector_stats: Option<IncremStats>,
     /// Structured per-phase breakdown (telemetry.v1 `rounds[i]`). Always
-    /// populated — the counts are computed by the phases regardless of
-    /// the `telemetry` feature; only spans/histograms/export need it.
+    /// populated — the counts are computed by the phases whether or not
+    /// the telemetry handle is enabled; only spans/histograms/export
+    /// need an enabled handle.
     pub telemetry: RoundTelemetry,
 }
 
@@ -253,10 +253,8 @@ impl Pipeline {
     /// # Example
     ///
     /// Run two cleaning rounds on a toy problem and read the structured
-    /// breakdown. With the `telemetry` feature on (the default), the same
-    /// handle also exports a versioned `telemetry.v1` JSON document; with
-    /// the feature off, `export_json` returns `None` and the handle is a
-    /// zero-sized no-op — this example compiles and passes either way.
+    /// breakdown. The enabled handle also exports a versioned
+    /// `telemetry.v1` JSON document.
     ///
     /// ```
     /// use chef_core::{InflSelector, Pipeline, PipelineConfig, Telemetry};
@@ -291,9 +289,8 @@ impl Pipeline {
     ///
     /// assert_eq!(report.rounds.len(), 2);
     /// assert_eq!(report.rounds[0].telemetry.selector.pool, 10);
-    /// if let Some(json) = telemetry.export_json("pipeline") {
-    ///     assert!(json.contains("\"schema\":\"telemetry.v1\""));
-    /// }
+    /// let json = telemetry.export_json("pipeline").unwrap();
+    /// assert!(json.contains("\"schema\":\"telemetry.v1\""));
     /// ```
     pub fn run(
         &self,

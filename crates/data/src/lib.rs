@@ -27,7 +27,7 @@
 //! features memory-mapped instead of heap-allocated, integrity
 //! verification eager, first-touch-lazy or off per [`IntegrityMode`],
 //! and an optional background verify-and-warm prefetch thread
-//! (`parallel` feature; DESIGN.md §15).
+//! (`StoreOptions::background_prefetch`; DESIGN.md §15).
 
 #![warn(missing_docs)]
 

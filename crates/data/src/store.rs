@@ -61,9 +61,9 @@
 //! * [`Off`](IntegrityMode::Off) — sizes checked, checksums skipped.
 //!
 //! On top of lazy verification sits an optional **background prefetch
-//! pipeline** (`parallel` feature): a single worker thread that
-//! verifies-and-warms the next residency window (`madvise(WILLNEED)`)
-//! while the selector scores the current one. The worker mutates no
+//! pipeline** ([`StoreOptions::background_prefetch`]): a single worker
+//! thread that verifies-and-warms the next residency window
+//! (`madvise(WILLNEED)`) while the selector scores the current one. The worker mutates no
 //! visible data — it only flips verification bits (idempotent) and
 //! issues advisory hints — so scored results are bit-identical with the
 //! prefetcher on or off, serial or parallel. See DESIGN.md §15.
@@ -704,9 +704,8 @@ pub struct StoreOptions {
     /// matching the historical open-time behaviour).
     pub integrity: IntegrityMode,
     /// Spawn the background verify-and-warm prefetch thread serving
-    /// [`DatasetStore::prefetch_upcoming`] hints (`parallel` feature
-    /// only; ignored — the serial twin is the synchronous access path —
-    /// when the feature is off).
+    /// [`DatasetStore::prefetch_upcoming`] hints. Off, the hints are
+    /// no-ops and verification runs synchronously on the access path.
     pub background_prefetch: bool,
 }
 
@@ -755,7 +754,6 @@ pub struct MmapStore {
     labels: Vec<SoftLabel>,
     clean: Vec<bool>,
     truth: Vec<Option<usize>>,
-    #[cfg(feature = "parallel")]
     prefetcher: Option<Prefetcher>,
 }
 
@@ -822,14 +820,12 @@ impl IoCounters {
 /// Handle to the background verify-and-warm thread. Requests are
 /// coalesced (only the newest window matters); dropping the handle
 /// closes the channel and joins the worker.
-#[cfg(feature = "parallel")]
 #[derive(Debug)]
 struct Prefetcher {
     tx: Option<std::sync::mpsc::Sender<(usize, usize)>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-#[cfg(feature = "parallel")]
 impl Prefetcher {
     fn spawn(core: Arc<StoreCore>) -> Prefetcher {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, usize)>();
@@ -879,7 +875,6 @@ impl Prefetcher {
     }
 }
 
-#[cfg(feature = "parallel")]
 impl Drop for Prefetcher {
     fn drop(&mut self) {
         drop(self.tx.take());
@@ -1028,18 +1023,14 @@ impl MmapStore {
             poison_msg: Mutex::new(None),
             stats,
         });
-        #[cfg(feature = "parallel")]
         let prefetcher = opts
             .background_prefetch
             .then(|| Prefetcher::spawn(Arc::clone(&core)));
-        #[cfg(not(feature = "parallel"))]
-        let _ = opts.background_prefetch;
         Ok(MmapStore {
             core,
             labels,
             clean,
             truth,
-            #[cfg(feature = "parallel")]
             prefetcher,
         })
     }
@@ -1379,18 +1370,13 @@ impl DatasetStore for MmapStore {
     }
 
     fn prefetch_upcoming(&self, lo: usize, hi: usize) {
-        #[cfg(feature = "parallel")]
-        {
-            if lo < hi {
-                if let Some(p) = &self.prefetcher {
-                    p.request(self.core.chunk_of(lo), self.core.chunk_of(hi - 1) + 1);
-                }
+        // Without a worker the hint is dropped — the access path
+        // verifies on first touch exactly as before the hint.
+        if lo < hi {
+            if let Some(p) = &self.prefetcher {
+                p.request(self.core.chunk_of(lo), self.core.chunk_of(hi - 1) + 1);
             }
         }
-        // Serial twin: no worker to hand the window to — the access
-        // path verifies on first touch exactly as before the hint.
-        #[cfg(not(feature = "parallel"))]
-        let _ = (lo, hi);
     }
 
     fn io_stats(&self) -> Option<StoreIoStats> {
@@ -1747,7 +1733,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn background_prefetcher_warms_without_changing_data() {
         let dir = tmp_dir("prefetch");

@@ -19,10 +19,10 @@
 //!   scratch comes from a [`Workspace`] that recycles `Vec`s across
 //!   calls, so steady-state hot loops allocate nothing.
 //!
-//! With the `parallel` feature the dispatching entry points fan
-//! row-blocks out over the thread pool (`rayon` shim: deterministic
-//! chunking, chunk-ordered results); the `*_serial` twins are always
-//! compiled and bit-identical.
+//! On a multi-worker pool the dispatching entry points fan row-blocks
+//! out over the thread pool (`rayon` shim: deterministic chunking,
+//! chunk-ordered results); the `*_serial` twins are the 1-worker path
+//! and bit-identical.
 
 use crate::vector;
 
@@ -34,7 +34,6 @@ pub const ROW_BLOCK: usize = 64;
 /// Minimum output rows before the dispatching kernels fan out over the
 /// thread pool. Length-only, so the chosen code path is
 /// machine-independent (same rule as chef-model's `PAR_GRAIN`).
-#[cfg(feature = "parallel")]
 const PAR_GRAIN_ROWS: usize = 256;
 
 /// Precision/ILP backend for the blocked panel kernels.
@@ -221,11 +220,10 @@ fn blocks(len: usize, block: usize) -> impl Iterator<Item = (usize, usize)> {
 /// `C = A·Bᵀ` for row-major `A` (`m×k`) and `B` (`n×k`) into row-major
 /// `out` (`m×n`): `out[i][j] = dot(a_i, b_j)`.
 ///
-/// Dispatches to a thread-pool fan-out over row blocks of `A` when the
-/// `parallel` feature is on, `m ≥ 256`, **and** the pool has more than
-/// one worker — on a single-worker pool the fan-out's per-block
-/// allocations and final copies are pure overhead, so it falls through
-/// to the serial path (same gate as chef-model's `batch_grad` and
+/// Dispatches to a thread-pool fan-out over row blocks of `A` when
+/// `m ≥ 256` **and** the pool has more than one worker — on a
+/// single-worker pool the fan-out's per-block allocations and final
+/// copies are pure overhead, so it falls through to the serial path (same gate as chef-model's `batch_grad` and
 /// chef-core's bound pass). Bit-identical to [`matmul_nt_serial`]
 /// either way (see the module docs).
 ///
@@ -233,40 +231,37 @@ fn blocks(len: usize, block: usize) -> impl Iterator<Item = (usize, usize)> {
 /// Panics if the slice lengths are not multiples of `k` or `out` has
 /// the wrong length (`k = 0` is rejected).
 pub fn matmul_nt(a: &[f64], b: &[f64], k: usize, out: &mut [f64]) {
-    #[cfg(feature = "parallel")]
-    {
-        let (m, n) = check_nt_shapes(a, b, k, out);
-        if m >= PAR_GRAIN_ROWS && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            let nblocks = m.div_ceil(ROW_BLOCK);
-            let parts: Vec<Vec<f64>> = (0..nblocks)
-                .into_par_iter()
-                .map(|bi| {
-                    let lo = bi * ROW_BLOCK;
-                    let hi = (lo + ROW_BLOCK).min(m);
-                    let mut part = vec![0.0; (hi - lo) * n];
-                    for i in lo..hi {
-                        let arow = &a[i * k..(i + 1) * k];
-                        let orow = &mut part[(i - lo) * n..(i - lo + 1) * n];
-                        for (j, o) in orow.iter_mut().enumerate() {
-                            *o = vector::dot(arow, &b[j * k..(j + 1) * k]);
-                        }
+    let (m, n) = check_nt_shapes(a, b, k, out);
+    if m >= PAR_GRAIN_ROWS && rayon::current_num_threads() > 1 {
+        use rayon::prelude::*;
+        let nblocks = m.div_ceil(ROW_BLOCK);
+        let parts: Vec<Vec<f64>> = (0..nblocks)
+            .into_par_iter()
+            .map(|bi| {
+                let lo = bi * ROW_BLOCK;
+                let hi = (lo + ROW_BLOCK).min(m);
+                let mut part = vec![0.0; (hi - lo) * n];
+                for i in lo..hi {
+                    let arow = &a[i * k..(i + 1) * k];
+                    let orow = &mut part[(i - lo) * n..(i - lo + 1) * n];
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        *o = vector::dot(arow, &b[j * k..(j + 1) * k]);
                     }
-                    part
-                })
-                .collect();
-            for (bi, part) in parts.into_iter().enumerate() {
-                let lo = bi * ROW_BLOCK * n;
-                out[lo..lo + part.len()].copy_from_slice(&part);
-            }
-            return;
+                }
+                part
+            })
+            .collect();
+        for (bi, part) in parts.into_iter().enumerate() {
+            let lo = bi * ROW_BLOCK * n;
+            out[lo..lo + part.len()].copy_from_slice(&part);
         }
+        return;
     }
     matmul_nt_serial(a, b, k, out);
 }
 
-/// Single-threaded [`matmul_nt`]. Always compiled; the dispatching
-/// entry point falls back to it below the parallel grain size.
+/// Single-threaded [`matmul_nt`]. The dispatching entry point falls
+/// back to it below the parallel grain size or on a 1-worker pool.
 pub fn matmul_nt_serial(a: &[f64], b: &[f64], k: usize, out: &mut [f64]) {
     let (m, n) = check_nt_shapes(a, b, k, out);
     // Block both row sets so the `B` rows a block touches stay cached
@@ -486,10 +481,10 @@ pub fn affine_nt_mixed_f32(x: &[f32], wb: &[f32], d: usize, out: &mut [f64]) {
 /// each round dots the surviving pool's rows against the influence
 /// vector.
 ///
-/// Dispatches to a thread-pool fan-out over row blocks when the
-/// `parallel` feature is on, `rows.len() ≥ 256`, and the pool has more
-/// than one worker (single-worker pools take the serial path — the
-/// fan-out would only add per-block allocation overhead); each output
+/// Dispatches to a thread-pool fan-out over row blocks when
+/// `rows.len() ≥ 256` and the pool has more than one worker
+/// (single-worker pools take the serial path — the fan-out would only
+/// add per-block allocation overhead); each output
 /// element is a full-row dot, so the result is bit-identical to
 /// [`gather_matvec_serial`].
 ///
@@ -497,7 +492,6 @@ pub fn affine_nt_mixed_f32(x: &[f32], wb: &[f32], d: usize, out: &mut [f64]) {
 /// Panics on shape mismatches or an out-of-range row index (`k = 0` is
 /// rejected).
 pub fn gather_matvec(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [f64]) {
-    #[cfg(feature = "parallel")]
     if rows.len() >= PAR_GRAIN_ROWS && rayon::current_num_threads() > 1 {
         use rayon::prelude::*;
         check_gather_shapes(a, k, rows, x, out);
@@ -523,8 +517,8 @@ pub fn gather_matvec(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [
     gather_matvec_serial(a, k, rows, x, out);
 }
 
-/// Single-threaded [`gather_matvec`]. Always compiled; the dispatching
-/// entry point falls back to it below the parallel grain size.
+/// Single-threaded [`gather_matvec`]. The dispatching entry point falls
+/// back to it below the parallel grain size or on a 1-worker pool.
 pub fn gather_matvec_serial(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [f64]) {
     check_gather_shapes(a, k, rows, x, out);
     for (o, &r) in out.iter_mut().zip(rows) {

@@ -16,17 +16,17 @@ use crate::model::Model;
 use crate::store::DatasetStore;
 use chef_linalg::{vector, LinearOperator, Workspace};
 
-/// Minimum number of per-sample terms before the `parallel` feature fans
-/// an accumulation out to the thread pool. Below this the scoped-thread
-/// overhead outweighs the work, so the serial path runs. The gate
+/// Minimum number of per-sample terms before an accumulation fans out to
+/// a multi-worker thread pool. Below this the scoped-thread overhead
+/// outweighs the work, so the serial path runs. The gate
 /// depends only on the input length — never the machine — so which code
 /// path computes a result is reproducible everywhere.
 pub const PAR_GRAIN: usize = 512;
 
 /// Samples per task when a gradient accumulation splits into
-/// [`crate::Model::grad_block`] calls. Always compiled: the serial and
-/// parallel gradient paths share this *identical* chunk partitioning
-/// (and combine the per-chunk partial sums in chunk order), so their
+/// [`crate::Model::grad_block`] calls. The serial and parallel gradient
+/// paths share this *identical* chunk partitioning (and combine the
+/// per-chunk partial sums in chunk order), so their
 /// floating-point reductions associate the same way and the two paths
 /// are **bit-identical** at every batch size — not merely ~1e-10 close.
 /// Half of [`PAR_GRAIN`] so a batch right at the parallel threshold
@@ -65,7 +65,6 @@ fn grad_weighted_sum_serial<M: Model + ?Sized>(
 /// partial sums combined in chunk order — bit-identical to the serial
 /// path by construction. Callers gate on batch size *and* pool size;
 /// the gate cannot change results, only which code computes them.
-#[cfg(feature = "parallel")]
 fn grad_weighted_sum_parallel<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,
@@ -96,7 +95,6 @@ fn grad_weighted_sum_parallel<M: Model + ?Sized>(
 /// Samples per task when the parallel Hessian path splits a batch into
 /// [`crate::Model::hvp_block`] calls. Half of [`PAR_GRAIN`] so a batch
 /// right at the parallel threshold still yields more than one task.
-#[cfg(feature = "parallel")]
 const HVP_CHUNK: usize = PAR_GRAIN / 2;
 
 /// Weighted, L2-regularized empirical risk (paper Eq. 1).
@@ -160,11 +158,10 @@ impl WeightedObjective {
     ///
     /// Runs the model's batched [`Model::grad_block`] kernel
     /// (closed-form GEMM panels for logistic regression, a per-sample
-    /// fallback otherwise). With the `parallel` feature (default) and a
-    /// thread pool larger than one worker, batches of at least
-    /// [`PAR_GRAIN`] samples fan `GRAD_CHUNK`-sized tasks out across
-    /// the pool; the serial and parallel paths share the same chunk
-    /// partitioning and combination order, so dispatch is bit-identical
+    /// fallback otherwise). On a thread pool larger than one worker,
+    /// batches of at least [`PAR_GRAIN`] samples fan `GRAD_CHUNK`-sized
+    /// tasks out across the pool; the serial and parallel paths share the
+    /// same chunk partitioning and combination order, so dispatch is bit-identical
     /// to [`Self::batch_grad_serial`] at every size (which is what makes
     /// the pool-size gate safe: it can only change *which code* computes
     /// the result).
@@ -176,7 +173,6 @@ impl WeightedObjective {
         w: &[f64],
         out: &mut [f64],
     ) {
-        #[cfg(feature = "parallel")]
         if batch.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
             grad_weighted_sum_parallel(model, data, batch, self.gamma, w, out);
             vector::scale(1.0 / batch.len() as f64, out);
@@ -186,9 +182,9 @@ impl WeightedObjective {
         self.batch_grad_serial(model, data, batch, w, out)
     }
 
-    /// Single-threaded [`Self::batch_grad`]. Always compiled; the public
-    /// entry point falls back to it below the parallel grain size (and
-    /// on single-worker pools, where fan-out overhead buys nothing).
+    /// Single-threaded [`Self::batch_grad`]. The public entry point falls
+    /// back to it below the parallel grain size (and on single-worker
+    /// pools, where fan-out overhead buys nothing).
     pub fn batch_grad_serial<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -222,8 +218,8 @@ impl WeightedObjective {
         self.batch_hvp(model, data, &idx, w, v, out)
     }
 
-    /// Single-threaded [`Self::hvp`]. Always compiled; the public entry
-    /// point falls back to it below the parallel grain size.
+    /// Single-threaded [`Self::hvp`]. The public entry point falls back to
+    /// it below the parallel grain size (and on single-worker pools).
     pub fn hvp_serial<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -255,7 +251,6 @@ impl WeightedObjective {
         v: &[f64],
         out: &mut [f64],
     ) {
-        #[cfg(feature = "parallel")]
         if batch.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
             use rayon::prelude::*;
             let m = model.num_params();
@@ -287,8 +282,9 @@ impl WeightedObjective {
         self.batch_hvp_serial(model, data, batch, w, v, out)
     }
 
-    /// Single-threaded [`Self::batch_hvp`]. Always compiled; the public
-    /// entry point falls back to it below the parallel grain size.
+    /// Single-threaded [`Self::batch_hvp`]. The public entry point falls
+    /// back to it below the parallel grain size (and on single-worker
+    /// pools).
     pub fn batch_hvp_serial<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -332,7 +328,6 @@ impl WeightedObjective {
         w: &[f64],
         out: &mut [f64],
     ) {
-        #[cfg(feature = "parallel")]
         if val.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
             assert!(!val.is_empty(), "val_grad: empty validation set");
             let batch: Vec<usize> = (0..val.len()).collect();
@@ -343,9 +338,9 @@ impl WeightedObjective {
         self.val_grad_serial(model, val, w, out)
     }
 
-    /// Single-threaded [`Self::val_grad`]. Always compiled; the public
-    /// entry point falls back to it below the parallel grain size (and
-    /// on single-worker pools).
+    /// Single-threaded [`Self::val_grad`]. The public entry point falls
+    /// back to it below the parallel grain size (and on single-worker
+    /// pools).
     pub fn val_grad_serial<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -593,7 +588,6 @@ mod tests {
     /// The chunk-ordered parallel reduction may associate the sum
     /// differently than the flat serial loop, so equality is up to
     /// floating-point drift far below anything the selector can resolve.
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_accumulation_matches_serial() {
         let n = PAR_GRAIN * 2 + 17;
@@ -628,7 +622,6 @@ mod tests {
     /// Unlike the HVP reduction, the gradient paths share one chunk
     /// partitioning between serial and parallel dispatch, so equality is
     /// exact — at, below, and above the parallel grain.
-    #[cfg(feature = "parallel")]
     #[test]
     fn batch_grad_dispatch_is_bit_identical_to_serial() {
         let model = LogisticRegression::new(3, 2);

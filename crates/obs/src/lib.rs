@@ -12,18 +12,16 @@
 //! provides it in three layers:
 //!
 //! * [`schema`] — plain-data per-round breakdowns ([`RoundTelemetry`]
-//!   and its phase sections), always compiled;
+//!   and its phase sections), always populated;
 //! * [`json`] — the hand-rolled [`JsonWriter`] every exported document
 //!   goes through (the offline build has no serde);
 //! * [`Telemetry`] — the handle `chef-core` threads through
-//!   `PipelineConfig`. With the `enabled` feature (default) it owns a
-//!   shared registry fed by `tracing`-shim spans; without it the handle
-//!   is a zero-sized no-op and instrumentation compiles out.
+//!   `PipelineConfig`. An enabled handle owns a shared registry fed by
+//!   `tracing`-shim spans; a disabled one records nothing.
 
 #![warn(missing_docs)]
 
 pub mod json;
-#[cfg(feature = "enabled")]
 pub mod metrics;
 pub mod parse;
 pub mod schema;

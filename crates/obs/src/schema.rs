@@ -1,8 +1,8 @@
 //! The `telemetry.v1` schema: plain-data per-round breakdowns.
 //!
-//! These types are **always compiled** — with the `enabled` feature off
-//! only the recording machinery (registry, spans, export) disappears.
-//! The pipeline therefore always carries a structured per-round
+//! These types are filled in whether or not the telemetry handle is
+//! enabled — a disabled handle skips only the recording machinery
+//! (registry, spans, export). The pipeline therefore always carries a structured per-round
 //! breakdown in its `RoundReport`, because every field below is derived
 //! from counts the phases compute anyway; only wall-clock histograms and
 //! span statistics cost anything to collect.

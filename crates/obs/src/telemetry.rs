@@ -1,16 +1,11 @@
 //! The [`Telemetry`] handle threaded through `PipelineConfig`.
 //!
-//! Two compilations of the same API:
-//!
-//! * **`enabled` feature on (default):** the handle optionally owns a
-//!   shared [`crate::metrics::Registry`]; clones share it, so a caller
-//!   keeps one clone and reads counters / exports JSON after the run.
-//!   A handle created with [`Telemetry::disabled`] carries no registry
-//!   and every operation is a cheap `None` check.
-//! * **`enabled` feature off:** `Telemetry` is a zero-sized type and
-//!   every method is an empty inline body — the instrumentation compiles
-//!   out entirely, which is the no-telemetry configuration `ci.sh`
-//!   builds with `--no-default-features`.
+//! The handle optionally owns a shared [`crate::metrics::Registry`];
+//! clones share it, so a caller keeps one clone and reads counters /
+//! exports JSON after the run. A handle created with
+//! [`Telemetry::disabled`] carries no registry and every operation is a
+//! cheap `None` check (DESIGN.md §10.4 measures it against the overhead
+//! budget).
 //!
 //! # Examples
 //!
@@ -22,307 +17,214 @@
 //! {
 //!     let _guard = tel.span("demo.phase"); // timed until dropped
 //! }
-//! if tel.is_enabled() {
-//!     assert_eq!(tel.counter("demo.widgets"), 3);
-//!     let json = tel.export_json("demo").unwrap();
-//!     assert!(json.contains("\"schema\":\"telemetry.v1\""));
-//!     assert!(json.contains("demo.phase"));
-//! } else {
-//!     // Feature `enabled` is off: same code, all no-ops.
-//!     assert_eq!(tel.counter("demo.widgets"), 0);
-//!     assert!(tel.export_json("demo").is_none());
-//! }
+//! assert_eq!(tel.counter("demo.widgets"), 3);
+//! let json = tel.export_json("demo").unwrap();
+//! assert!(json.contains("\"schema\":\"telemetry.v1\""));
+//! assert!(json.contains("demo.phase"));
+//!
+//! let off = Telemetry::disabled();
+//! off.add("demo.widgets", 3);
+//! assert_eq!(off.counter("demo.widgets"), 0);
+//! assert!(off.export_json("demo").is_none());
 //! ```
 
-use crate::schema::RoundTelemetry;
+use crate::json::JsonWriter;
+use crate::metrics::{Registry, MS_BUCKETS};
+use crate::schema::{available_cores, RoundTelemetry, SCHEMA_VERSION};
+use std::sync::Arc;
+use std::time::Instant;
 
-#[cfg(feature = "enabled")]
-pub use enabled::{SpanGuard, Telemetry, Timer};
+/// A cloneable handle to one run's metrics. See the module docs.
+#[derive(Clone, Debug, Default)]
+pub struct Telemetry {
+    inner: Option<Arc<Registry>>,
+}
 
-#[cfg(feature = "enabled")]
-mod enabled {
-    use super::RoundTelemetry;
-    use crate::json::JsonWriter;
-    use crate::metrics::{Registry, MS_BUCKETS};
-    use crate::schema::{available_cores, SCHEMA_VERSION};
-    use std::sync::Arc;
-    use std::time::Instant;
+/// RAII guard returned by [`Telemetry::span`]; reports the span's
+/// wall-clock on drop.
+pub struct SpanGuard(#[allow(dead_code)] Option<tracing::EnteredSpan>);
 
-    /// A cloneable handle to one run's metrics. See the module docs.
-    #[derive(Clone, Debug, Default)]
-    pub struct Telemetry {
-        inner: Option<Arc<Registry>>,
+/// Records the elapsed time into a histogram when dropped.
+pub struct Timer {
+    name: &'static str,
+    start: Instant,
+    registry: Arc<Registry>,
+}
+
+impl Drop for Timer {
+    fn drop(&mut self) {
+        self.registry
+            .observe_ms(self.name, self.start.elapsed().as_secs_f64() * 1e3);
+    }
+}
+
+impl Telemetry {
+    /// A handle that records nothing (the `Default`).
+    pub fn disabled() -> Self {
+        Self { inner: None }
     }
 
-    /// RAII guard returned by [`Telemetry::span`]; reports the span's
-    /// wall-clock on drop.
-    pub struct SpanGuard(#[allow(dead_code)] Option<tracing::EnteredSpan>);
-
-    /// Records the elapsed time into a histogram when dropped.
-    pub struct Timer {
-        name: &'static str,
-        start: Instant,
-        registry: Arc<Registry>,
-    }
-
-    impl Drop for Timer {
-        fn drop(&mut self) {
-            self.registry
-                .observe_ms(self.name, self.start.elapsed().as_secs_f64() * 1e3);
+    /// A handle with a fresh registry; clones share it.
+    pub fn enabled() -> Self {
+        Self {
+            inner: Some(Arc::new(Registry::default())),
         }
     }
 
-    impl Telemetry {
-        /// A handle that records nothing (the `Default`).
-        pub fn disabled() -> Self {
-            Self { inner: None }
-        }
+    /// Whether this handle records anything.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
+    }
 
-        /// A handle with a fresh registry; clones share it.
-        pub fn enabled() -> Self {
-            Self {
-                inner: Some(Arc::new(Registry::default())),
-            }
-        }
+    /// Enter a named span; the returned guard reports enter/exit and
+    /// wall-clock to the span statistics until dropped.
+    pub fn span(&self, name: &'static str) -> SpanGuard {
+        SpanGuard(self.inner.as_ref().map(|reg| {
+            let collector: Arc<dyn tracing::Collect> = reg.clone();
+            tracing::Span::with_collector(name, collector).entered()
+        }))
+    }
 
-        /// Whether this handle records anything.
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
+    /// Increment a counter by `n`.
+    pub fn add(&self, name: &'static str, n: u64) {
+        if let Some(reg) = &self.inner {
+            reg.add(name, n);
         }
+    }
 
-        /// Enter a named span; the returned guard reports enter/exit and
-        /// wall-clock to the span statistics until dropped.
-        pub fn span(&self, name: &'static str) -> SpanGuard {
-            SpanGuard(self.inner.as_ref().map(|reg| {
-                let collector: Arc<dyn tracing::Collect> = reg.clone();
-                tracing::Span::with_collector(name, collector).entered()
-            }))
+    /// Set a gauge to `v` (last write wins).
+    pub fn set_gauge(&self, name: &'static str, v: f64) {
+        if let Some(reg) = &self.inner {
+            reg.set_gauge(name, v);
         }
+    }
 
-        /// Increment a counter by `n`.
-        pub fn add(&self, name: &'static str, n: u64) {
-            if let Some(reg) = &self.inner {
-                reg.add(name, n);
-            }
+    /// Record one observation into a fixed-bucket histogram.
+    pub fn observe_ms(&self, name: &'static str, ms: f64) {
+        if let Some(reg) = &self.inner {
+            reg.observe_ms(name, ms);
         }
+    }
 
-        /// Set a gauge to `v` (last write wins).
-        pub fn set_gauge(&self, name: &'static str, v: f64) {
-            if let Some(reg) = &self.inner {
-                reg.set_gauge(name, v);
-            }
+    /// Start a histogram timer, or `None` on a disabled handle —
+    /// callers skip even the clock read when nothing records.
+    pub fn timer(&self, name: &'static str) -> Option<Timer> {
+        self.inner.as_ref().map(|reg| Timer {
+            name,
+            start: Instant::now(),
+            registry: reg.clone(),
+        })
+    }
+
+    /// Append one round's structured breakdown to the export.
+    pub fn record_round(&self, round: RoundTelemetry) {
+        if let Some(reg) = &self.inner {
+            reg.rounds.lock().unwrap().push(round);
         }
+    }
 
-        /// Record one observation into a fixed-bucket histogram.
-        pub fn observe_ms(&self, name: &'static str, ms: f64) {
-            if let Some(reg) = &self.inner {
-                reg.observe_ms(name, ms);
-            }
+    /// Current value of a counter (0 when absent or disabled).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.inner
+            .as_ref()
+            .and_then(|reg| reg.counters.lock().unwrap().get(name).copied())
+            .unwrap_or(0)
+    }
+
+    /// Current value of a gauge (`None` when never set or disabled).
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.inner
+            .as_ref()
+            .and_then(|reg| reg.gauges.lock().unwrap().get(name).copied())
+    }
+
+    /// Number of rounds recorded so far (0 when disabled).
+    pub fn rounds_recorded(&self) -> usize {
+        self.inner
+            .as_ref()
+            .map_or(0, |reg| reg.rounds.lock().unwrap().len())
+    }
+
+    /// Export everything recorded so far as a `telemetry.v1` JSON
+    /// document, or `None` on a disabled handle.
+    ///
+    /// `kind` distinguishes document flavors sharing the envelope
+    /// (`"pipeline_run"` from `Pipeline::run`, `"bench"` from the
+    /// benchmark harness).
+    pub fn export_json(&self, kind: &str) -> Option<String> {
+        let reg = self.inner.as_ref()?;
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_str("schema", SCHEMA_VERSION);
+        w.field_str("kind", kind);
+        w.key("context");
+        w.begin_object();
+        w.field_u64("available_cores", available_cores() as u64);
+        w.field_bool("telemetry_feature", true);
+        w.end_object();
+
+        w.key("counters");
+        w.begin_object();
+        for (name, v) in reg.counters.lock().unwrap().iter() {
+            w.field_u64(name, *v);
         }
+        w.end_object();
 
-        /// Start a histogram timer, or `None` on a disabled handle —
-        /// callers skip even the clock read when nothing records.
-        pub fn timer(&self, name: &'static str) -> Option<Timer> {
-            self.inner.as_ref().map(|reg| Timer {
-                name,
-                start: Instant::now(),
-                registry: reg.clone(),
-            })
+        w.key("gauges");
+        w.begin_object();
+        for (name, v) in reg.gauges.lock().unwrap().iter() {
+            w.field_f64(name, *v);
         }
+        w.end_object();
 
-        /// Append one round's structured breakdown to the export.
-        pub fn record_round(&self, round: RoundTelemetry) {
-            if let Some(reg) = &self.inner {
-                reg.rounds.lock().unwrap().push(round);
-            }
-        }
-
-        /// Current value of a counter (0 when absent or disabled).
-        pub fn counter(&self, name: &str) -> u64 {
-            self.inner
-                .as_ref()
-                .and_then(|reg| reg.counters.lock().unwrap().get(name).copied())
-                .unwrap_or(0)
-        }
-
-        /// Current value of a gauge (`None` when never set or disabled).
-        pub fn gauge(&self, name: &str) -> Option<f64> {
-            self.inner
-                .as_ref()
-                .and_then(|reg| reg.gauges.lock().unwrap().get(name).copied())
-        }
-
-        /// Number of rounds recorded so far (0 when disabled).
-        pub fn rounds_recorded(&self) -> usize {
-            self.inner
-                .as_ref()
-                .map_or(0, |reg| reg.rounds.lock().unwrap().len())
-        }
-
-        /// Export everything recorded so far as a `telemetry.v1` JSON
-        /// document, or `None` on a disabled handle.
-        ///
-        /// `kind` distinguishes document flavors sharing the envelope
-        /// (`"pipeline_run"` from `Pipeline::run`, `"bench"` from the
-        /// benchmark harness).
-        pub fn export_json(&self, kind: &str) -> Option<String> {
-            let reg = self.inner.as_ref()?;
-            let mut w = JsonWriter::new();
+        w.key("histograms");
+        w.begin_object();
+        for (name, h) in reg.histograms.lock().unwrap().iter() {
+            w.key(name);
             w.begin_object();
-            w.field_str("schema", SCHEMA_VERSION);
-            w.field_str("kind", kind);
-            w.key("context");
-            w.begin_object();
-            w.field_u64("available_cores", available_cores() as u64);
-            w.field_bool("telemetry_feature", true);
-            w.end_object();
-
-            w.key("counters");
-            w.begin_object();
-            for (name, v) in reg.counters.lock().unwrap().iter() {
-                w.field_u64(name, *v);
-            }
-            w.end_object();
-
-            w.key("gauges");
-            w.begin_object();
-            for (name, v) in reg.gauges.lock().unwrap().iter() {
-                w.field_f64(name, *v);
-            }
-            w.end_object();
-
-            w.key("histograms");
-            w.begin_object();
-            for (name, h) in reg.histograms.lock().unwrap().iter() {
-                w.key(name);
-                w.begin_object();
-                w.key("buckets_ms");
-                w.begin_array();
-                for b in MS_BUCKETS {
-                    w.f64(b);
-                }
-                w.end_array();
-                w.key("counts");
-                w.begin_array();
-                for c in h.counts {
-                    w.u64(c);
-                }
-                w.end_array();
-                w.field_u64("count", h.count);
-                w.field_f64("sum_ms", h.sum_ms);
-                w.end_object();
-            }
-            w.end_object();
-
-            w.key("spans");
-            w.begin_object();
-            for (name, s) in reg.spans.lock().unwrap().iter() {
-                w.key(name);
-                w.begin_object();
-                w.field_u64("count", s.count);
-                w.field_f64("total_ms", s.total_ns as f64 / 1e6);
-                w.field_f64("min_ms", s.min_ns as f64 / 1e6);
-                w.field_f64("max_ms", s.max_ns as f64 / 1e6);
-                w.end_object();
-            }
-            w.end_object();
-
-            w.key("rounds");
+            w.key("buckets_ms");
             w.begin_array();
-            for round in reg.rounds.lock().unwrap().iter() {
-                round.write_json(&mut w);
+            for b in MS_BUCKETS {
+                w.f64(b);
             }
             w.end_array();
+            w.key("counts");
+            w.begin_array();
+            for c in h.counts {
+                w.u64(c);
+            }
+            w.end_array();
+            w.field_u64("count", h.count);
+            w.field_f64("sum_ms", h.sum_ms);
             w.end_object();
-            Some(w.finish())
         }
+        w.end_object();
+
+        w.key("spans");
+        w.begin_object();
+        for (name, s) in reg.spans.lock().unwrap().iter() {
+            w.key(name);
+            w.begin_object();
+            w.field_u64("count", s.count);
+            w.field_f64("total_ms", s.total_ns as f64 / 1e6);
+            w.field_f64("min_ms", s.min_ns as f64 / 1e6);
+            w.field_f64("max_ms", s.max_ns as f64 / 1e6);
+            w.end_object();
+        }
+        w.end_object();
+
+        w.key("rounds");
+        w.begin_array();
+        for round in reg.rounds.lock().unwrap().iter() {
+            round.write_json(&mut w);
+        }
+        w.end_array();
+        w.end_object();
+        Some(w.finish())
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{SpanGuard, Telemetry, Timer};
-
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::RoundTelemetry;
-
-    /// Zero-sized no-op telemetry handle (`enabled` feature off). Every
-    /// method matches the enabled signature and compiles to nothing.
-    /// Deliberately not `Copy`: the enabled counterpart can't be, and the
-    /// two must present the same trait surface to callers.
-    #[derive(Clone, Debug, Default)]
-    pub struct Telemetry;
-
-    /// Inert span guard.
-    pub struct SpanGuard;
-
-    /// Inert timer; [`Telemetry::timer`] never returns one.
-    pub struct Timer {
-        _private: (),
-    }
-
-    impl Telemetry {
-        /// A handle that records nothing.
-        pub fn disabled() -> Self {
-            Self
-        }
-
-        /// With the `enabled` feature off this still records nothing;
-        /// build with the feature (the default) to actually collect.
-        pub fn enabled() -> Self {
-            Self
-        }
-
-        /// Always `false` in this configuration.
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op span guard.
-        pub fn span(&self, _name: &'static str) -> SpanGuard {
-            SpanGuard
-        }
-
-        /// No-op.
-        pub fn add(&self, _name: &'static str, _n: u64) {}
-
-        /// No-op.
-        pub fn set_gauge(&self, _name: &'static str, _v: f64) {}
-
-        /// No-op.
-        pub fn observe_ms(&self, _name: &'static str, _ms: f64) {}
-
-        /// Always `None`; the clock is never read.
-        pub fn timer(&self, _name: &'static str) -> Option<Timer> {
-            None
-        }
-
-        /// No-op.
-        pub fn record_round(&self, _round: RoundTelemetry) {}
-
-        /// Always 0.
-        pub fn counter(&self, _name: &str) -> u64 {
-            0
-        }
-
-        /// Always `None`.
-        pub fn gauge(&self, _name: &str) -> Option<f64> {
-            None
-        }
-
-        /// Always 0.
-        pub fn rounds_recorded(&self) -> usize {
-            0
-        }
-
-        /// Always `None`.
-        pub fn export_json(&self, _kind: &str) -> Option<String> {
-            None
-        }
-    }
-}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::SelectorTelemetry;

@@ -129,8 +129,8 @@ pub struct JobResult {
     /// The full pipeline report (bit-identical to a synchronous
     /// `Pipeline::run` when every reply was on time).
     pub report: PipelineReport,
-    /// The job's `telemetry.v1` export, when the telemetry feature is
-    /// enabled and the job was given an enabled handle.
+    /// The job's `telemetry.v1` export, when the job was given an
+    /// enabled handle.
     pub telemetry_json: Option<String>,
 }
 

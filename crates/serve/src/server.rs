@@ -46,7 +46,8 @@ fn error_frame(code: &str, detail: &str) -> Frame {
 /// 3), `deadline_ms` (default [`DEFAULT_DEADLINE_MS`]), `incremental`
 /// (Increm-Infl selector, default false), `checkpoint_dir` +
 /// `checkpoint_every` (off unless given), `resume_from` (checkpoint dir
-/// to continue from).
+/// to continue from). `scale`, `budget` and `round_size` must be
+/// positive; a zero is rejected here rather than panicking the pipeline.
 pub fn job_request_from_spec(payload: &str) -> Result<JobRequest, String> {
     let v = parse_json(payload).map_err(|e| format!("spec is not JSON: {e}"))?;
     let name = v
@@ -58,7 +59,13 @@ pub fn job_request_from_spec(payload: &str) -> Result<JobRequest, String> {
         .get("dataset")
         .and_then(JsonValue::as_str)
         .ok_or("spec missing 'dataset'")?;
-    let scale = v.get("scale").and_then(JsonValue::as_usize).unwrap_or(40);
+    let positive = |key: &str, default: usize| match v.get(key).and_then(JsonValue::as_usize) {
+        Some(0) => Err(format!("spec '{key}' must be positive")),
+        n => Ok(n.unwrap_or(default)),
+    };
+    let scale = positive("scale", 40)?;
+    let budget = positive("budget", 20)?;
+    let round_size = positive("round_size", 5)?;
     let seed = v.get("seed").and_then(JsonValue::as_u64).unwrap_or(7);
     let spec = by_name(dataset, scale).ok_or_else(|| format!("unknown dataset '{dataset}'"))?;
     let mut split = generate(&spec, seed);
@@ -83,11 +90,8 @@ pub fn job_request_from_spec(payload: &str) -> Result<JobRequest, String> {
             keep: 3,
         });
     let cfg = PipelineConfig {
-        budget: v.get("budget").and_then(JsonValue::as_usize).unwrap_or(20),
-        round_size: v
-            .get("round_size")
-            .and_then(JsonValue::as_usize)
-            .unwrap_or(5),
+        budget,
+        round_size,
         annotation: AnnotationConfig {
             strategy: LabelStrategy::HumansOnly(panel),
             error_rate: spec.annotator_error,

@@ -2,9 +2,8 @@
 //!
 //! Runs the same cleaning workload twice — naive (Full influence +
 //! Retrain) vs incremental (Increm-Infl + DeltaGrad-L) — and prints the
-//! per-phase timings plus the check that both produce the same cleaned
-//! samples and near-identical models (the paper's Exp2/Exp3 story in one
-//! program).
+//! per-phase timings plus the check that both pick the same first-round
+//! samples (the paper's Exp2/Exp3 story in one program).
 //!
 //! ```text
 //! cargo run --release --example incremental_speedups
@@ -70,19 +69,12 @@ fn main() {
         &mut increm,
     );
 
-    let same_cleaned = {
-        let a: std::collections::BTreeSet<usize> = naive
-            .rounds
-            .iter()
-            .flat_map(|r| r.selected.iter().map(|s| s.index))
-            .collect();
-        let b: std::collections::BTreeSet<usize> = fast
-            .rounds
-            .iter()
-            .flat_map(|r| r.selected.iter().map(|s| s.index))
-            .collect();
-        a == b
+    // Increm-Infl ≡ Full only while both runs share a model: later rounds
+    // diverge once Retrain and DeltaGrad-L produce different parameters.
+    let first_round = |r: &chef_core::PipelineReport| -> Vec<usize> {
+        r.rounds[0].selected.iter().map(|s| s.index).collect()
     };
+    let same_first_round = first_round(&naive) == first_round(&fast);
 
     println!(
         "naive       : select {:>8.1?} | update {:>8.1?} | test F1 {:.4}",
@@ -100,7 +92,7 @@ fn main() {
         "update speed-up: {:.1}x | select speed-up: {:.1}x | identical first-round selection: {}",
         naive.total_update_time().as_secs_f64() / fast.total_update_time().as_secs_f64().max(1e-9),
         naive.total_select_time().as_secs_f64() / fast.total_select_time().as_secs_f64().max(1e-9),
-        same_cleaned
+        same_first_round
     );
     if let Some(stats) = fast.rounds.last().and_then(|r| r.selector_stats) {
         println!(

@@ -1,7 +1,7 @@
 //! Equivalence tests for the [`KernelBackend`] precision/ILP variants.
 //!
-//! The numerics contract (DESIGN.md §14) pinned here, in both feature
-//! configurations (`--features parallel` and `--no-default-features`):
+//! The numerics contract (DESIGN.md §14) pinned here, at every rayon
+//! pool size:
 //!
 //! * `Reference` **is** the pre-backend code path — `new()` defaults to
 //!   it, so every older golden/equivalence suite keeps pinning it.

@@ -13,10 +13,7 @@
 //! `PipelineReport::total_select_time`/`total_update_time` aggregate
 //! correctly across a crash.
 //!
-//! The whole file runs in both feature configurations exercised by
-//! ci.sh: default features + `fault-inject`, and
-//! `--no-default-features --features fault-inject` (serial kernels, noop
-//! telemetry).
+//! ci.sh runs the whole file with `--features fault-inject`.
 
 use chef_core::{
     AnnotationConfig, CheckpointConfig, CheckpointError, ConstructorKind, FaultPlan, InflSelector,

@@ -4,9 +4,9 @@
 //! regression) and the generic per-sample fallback (MLP) must produce
 //! the same rankings, suggested labels and Hessian-vector products as
 //! the reference per-sample implementations — to ~1e-10 for the closed
-//! form, in both feature configurations (`--features parallel` and
-//! `--no-default-features`). The pool is sized above every parallel
-//! grain so the threaded block dispatch is exercised when compiled in.
+//! form, at every rayon pool size. The pool is sized above every
+//! parallel grain so the threaded block dispatch is exercised on a
+//! multi-worker pool.
 
 use chef_core::{
     rank_infl_top_b, rank_infl_with_vector, rank_infl_with_vector_per_sample,

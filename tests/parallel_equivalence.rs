@@ -2,8 +2,8 @@
 //! serial one.
 //!
 //! `rank_infl_with_vector` and `IncremInfl::candidates` dispatch to the
-//! thread pool when the `parallel` feature is on; their `*_serial`
-//! twins are always compiled. Both must produce the same ranked
+//! thread pool on a multi-worker pool; their `*_serial` twins are the
+//! 1-worker path. Both must produce the same ranked
 //! indices and suggested labels from the same seeds, with scores
 //! drifting by at most 1e-10 (per-candidate scores carry no
 //! cross-sample floating-point reduction, so in practice they are

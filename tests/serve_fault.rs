@@ -9,9 +9,8 @@
 //! the variant where a timed-out batch abstains identically to the
 //! synchronous injected-timeout path.
 //!
-//! ci.sh runs this file in both feature configs: `--features
-//! fault-inject` (default features on top) and `--no-default-features
-//! --features fault-inject`.
+//! ci.sh runs this file with `--features fault-inject` at 1 and 4
+//! scheduler workers.
 
 use chef_core::{
     AnnotationConfig, CheckpointConfig, FaultPlan, InflSelector, LabelStrategy, Pipeline,

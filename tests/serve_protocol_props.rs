@@ -310,6 +310,73 @@ fn busy_reply_keeps_stream_aligned() {
     assert!(json(7).get("final_test_f1").is_some());
 }
 
+/// A zero `budget`, `round_size` or `scale` is a recoverable `bad-spec`
+/// error at the dispatch layer — not a panic inside the scheduler — and
+/// a valid submit on the same stream afterwards is still admitted.
+#[test]
+fn zero_valued_specs_are_bad_spec() {
+    use chef_serve::{serve_connection, JobManager, SchedConfig, SimAnnotator, SimAnnotatorConfig};
+
+    let mgr = JobManager::with_config(
+        Box::new(SimAnnotator::new(SimAnnotatorConfig::default())),
+        chef_core::Telemetry::enabled(),
+        SchedConfig {
+            workers: 1,
+            queue_bound: 1,
+        },
+    );
+    let spec = |scale: usize, budget: usize, round_size: usize| {
+        format!(
+            r#"{{"name": "z", "dataset": "MIMIC", "scale": {scale}, "seed": 5, "budget": {budget}, "round_size": {round_size}}}"#
+        )
+    };
+    let bad = [spec(30, 0, 5), spec(30, 10, 0), spec(0, 10, 5)];
+    let mut input = String::new();
+    for s in &bad {
+        input.push_str(&Frame::new(Verb::Submit, s.clone()).encode());
+    }
+    input.push_str(&Frame::new(Verb::Submit, spec(30, 10, 5)).encode());
+    input.push_str(&Frame::new(Verb::Results, r#"{"job": 1}"#).encode());
+
+    let mut reader = Cursor::new(input.into_bytes());
+    let mut out: Vec<u8> = Vec::new();
+    serve_connection(&mgr, &mut reader, &mut out).expect("serving succeeds");
+
+    let mut rest = std::str::from_utf8(&out).expect("utf8 output");
+    let mut frames = Vec::new();
+    while !rest.is_empty() {
+        let (f, r) = Frame::decode(rest).expect("well-formed response stream");
+        frames.push(f);
+        rest = r;
+    }
+    assert_eq!(
+        frames.len(),
+        bad.len() + 2,
+        "one aligned response per request"
+    );
+    for (f, s) in frames.iter().zip(&bad) {
+        assert_eq!(f.verb, Verb::Error, "{s}");
+        let code = chef_obs::parse_json(&f.payload)
+            .ok()
+            .and_then(|v| v.get("error").and_then(|e| e.as_str().map(String::from)));
+        assert_eq!(code.as_deref(), Some("bad-spec"), "{s}: {}", f.payload);
+    }
+    let ok = &frames[bad.len()];
+    assert_eq!(
+        ok.verb,
+        Verb::Ok,
+        "valid submit after bad specs: {}",
+        ok.payload
+    );
+    let done = &frames[bad.len() + 1];
+    assert_eq!(
+        done.verb,
+        Verb::Ok,
+        "job runs to completion: {}",
+        done.payload
+    );
+}
+
 /// A payload that *contains* something shaped like a frame header must
 /// not confuse the codec: the length prefix wins over line structure.
 #[test]

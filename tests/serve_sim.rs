@@ -14,9 +14,9 @@
 //! 4. the framed protocol serves submissions end-to-end over an
 //!    in-memory connection.
 //!
-//! The file runs under both ci.sh feature configs: default and
-//! `--no-default-features` (serial kernels, noop telemetry — the
-//! `serve.*` counter assertions are gated on telemetry being real).
+//! ci.sh runs the file at 1 and 4 rayon workers and at 1 and 4
+//! scheduler workers; the `serve.*` counter assertions are gated on the
+//! manager's telemetry handle being enabled.
 
 use chef_core::{
     AnnotationConfig, InflSelector, LabelStrategy, Pipeline, PipelineConfig, PipelineReport,
@@ -492,7 +492,7 @@ fn event_log_has_lifecycle_shape() {
 fn serve_counters_account_for_traffic() {
     let mgr = JobManager::new(Box::new(SimAnnotator::new(SimAnnotatorConfig::default())));
     if !mgr.telemetry().is_enabled() {
-        return; // noop telemetry build: nothing to count
+        return; // disabled handle: nothing to count
     }
     let id = mgr.submit(request("counted", 1, 1_000));
     let report = mgr.wait(id).expect("job completes").report;
@@ -681,7 +681,7 @@ fn sched_telemetry_tracks_pool_and_ledger() {
         },
     );
     if !mgr.telemetry().is_enabled() {
-        return; // noop telemetry build: nothing to observe
+        return; // disabled handle: nothing to observe
     }
     let ids: Vec<JobId> = (1u64..=3)
         .map(|s| mgr.submit(request(&format!("tenant-{s}"), s, 1_000)))

@@ -18,10 +18,9 @@
 //! a freshly opened store, and corruption lanes check that a bit-flip
 //! slips past a lazy open but is caught on first touch of its block.
 //!
-//! Like the other equivalence suites, this file runs in both feature
-//! configurations exercised by ci.sh (default and
-//! `--no-default-features`): the serial and parallel kernel paths must
-//! both uphold the storage-independence claim.
+//! Like the other equivalence suites, ci.sh runs this file at 1 and 4
+//! rayon workers: the serial and parallel kernel paths must both uphold
+//! the storage-independence claim.
 
 use chef_core::{
     AnnotationConfig, ConstructorKind, InflSelector, LabelStrategy, Pipeline, PipelineConfig,

@@ -4,8 +4,8 @@
 //! constructor) with telemetry enabled and asserts the structured
 //! per-round breakdown: pruning counters, gradient/HVP evaluation
 //! counts, annotation vote counts, and replay-vs-exact step counts.
-//! The registry/export assertions are gated on the `telemetry` feature;
-//! the plain-count assertions hold in both feature configurations.
+//! A disabled handle must record nothing and leave every result
+//! bit-identical to an enabled run.
 
 use chef_core::{
     AnnotationConfig, ConstructorKind, InflSelector, LabelStrategy, Pipeline, PipelineConfig,
@@ -147,63 +147,49 @@ fn pipeline_emits_structured_round_telemetry() {
     // Later rounds must actually exercise the Theorem-1 bound.
     assert!(total_pruned > 0, "Increm-Infl never pruned anything");
 
-    // ---- Registry + export (requires the `telemetry` feature). ----
-    #[cfg(feature = "telemetry")]
-    {
-        assert!(telemetry.is_enabled());
-        assert_eq!(telemetry.rounds_recorded(), report.rounds.len());
-        assert_eq!(telemetry.counter("selector.scored"), total_scored);
-        assert_eq!(telemetry.counter("selector.pruned"), total_pruned);
-        assert_eq!(
-            telemetry.counter("increm.provenance_grads"),
-            (N_TRAIN * (NUM_CLASSES + 1)) as u64,
-            "provenance initialization: one full + C class gradients per sample"
+    // ---- Registry + export. ----
+    assert!(telemetry.is_enabled());
+    assert_eq!(telemetry.rounds_recorded(), report.rounds.len());
+    assert_eq!(telemetry.counter("selector.scored"), total_scored);
+    assert_eq!(telemetry.counter("selector.pruned"), total_pruned);
+    assert_eq!(
+        telemetry.counter("increm.provenance_grads"),
+        (N_TRAIN * (NUM_CLASSES + 1)) as u64,
+        "provenance initialization: one full + C class gradients per sample"
+    );
+    assert_eq!(telemetry.counter("pipeline.rounds"), 3);
+    // chef-train reports through the same handle: the initial training
+    // plus every constructor update ran under a `train.sgd` span.
+    assert!(telemetry.counter("train.epochs") >= 6);
+
+    let json = telemetry
+        .export_json("pipeline")
+        .expect("enabled telemetry exports");
+    for needle in [
+        "\"schema\":\"telemetry.v1\"",
+        "\"kind\":\"pipeline\"",
+        "\"available_cores\":",
+        "\"telemetry_feature\":true",
+        "\"counters\":{",
+        "\"selector.scored\":",
+        "\"increm.provenance_grads\":",
+        "\"spans\":{",
+        "\"pipeline.init\"",
+        "\"round.select\"",
+        "\"round.annotate\"",
+        "\"round.update\"",
+        "\"round.eval\"",
+        "\"train.sgd\"",
+        "\"histograms\":{",
+        "\"train.batch_ms\"",
+        "\"rounds\":[",
+        "\"pruned\":",
+        "\"replay_steps\":",
+    ] {
+        assert!(
+            json.contains(needle),
+            "{needle} missing from export:\n{json}"
         );
-        assert_eq!(telemetry.counter("pipeline.rounds"), 3);
-        // chef-train reports through the same handle: the initial training
-        // plus every constructor update ran under a `train.sgd` span.
-        assert!(telemetry.counter("train.epochs") >= 6);
-
-        let json = telemetry
-            .export_json("pipeline")
-            .expect("enabled telemetry exports");
-        for needle in [
-            "\"schema\":\"telemetry.v1\"",
-            "\"kind\":\"pipeline\"",
-            "\"available_cores\":",
-            "\"telemetry_feature\":true",
-            "\"counters\":{",
-            "\"selector.scored\":",
-            "\"increm.provenance_grads\":",
-            "\"spans\":{",
-            "\"pipeline.init\"",
-            "\"round.select\"",
-            "\"round.annotate\"",
-            "\"round.update\"",
-            "\"round.eval\"",
-            "\"train.sgd\"",
-            "\"histograms\":{",
-            "\"train.batch_ms\"",
-            "\"rounds\":[",
-            "\"pruned\":",
-            "\"replay_steps\":",
-        ] {
-            assert!(
-                json.contains(needle),
-                "{needle} missing from export:\n{json}"
-            );
-        }
-    }
-
-    // With the feature off the same handle is a no-op ZST: the pipeline
-    // still carries the structured breakdown, but nothing was recorded
-    // and nothing can be exported.
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = total_scored;
-        assert!(!telemetry.is_enabled());
-        assert_eq!(telemetry.counter("selector.scored"), 0);
-        assert!(telemetry.export_json("pipeline").is_none());
     }
 }
 
@@ -213,13 +199,15 @@ fn disabled_handle_records_nothing() {
     let train = make(60, true, &mut rng);
     let val = make(30, false, &mut rng);
     let model = LogisticRegression::new(2, NUM_CLASSES);
+    let run = |telemetry: Telemetry| {
+        let mut cfg = config(telemetry);
+        cfg.budget = 5;
+        let mut selector = InflSelector::full();
+        Pipeline::new(cfg).run(&model, train.clone(), &val, &val, &mut selector)
+    };
 
     let telemetry = Telemetry::disabled();
-    let mut cfg = config(telemetry.clone());
-    cfg.budget = 5;
-    let pipeline = Pipeline::new(cfg);
-    let mut selector = InflSelector::full();
-    let report = pipeline.run(&model, train, &val, &val, &mut selector);
+    let report = run(telemetry.clone());
 
     // The structured breakdown is still populated from plain counts…
     assert_eq!(report.rounds.len(), 1);
@@ -229,4 +217,20 @@ fn disabled_handle_records_nothing() {
     assert_eq!(telemetry.counter("pipeline.rounds"), 0);
     assert!(telemetry.export_json("pipeline").is_none());
     assert_eq!(telemetry.rounds_recorded(), 0);
+
+    // The per-sample path is bit-identical with telemetry on or off.
+    let enabled = Telemetry::enabled();
+    let on = run(enabled.clone());
+    assert_eq!(enabled.rounds_recorded(), 1, "the enabled run recorded");
+    assert_eq!(on.rounds.len(), report.rounds.len());
+    for (a, b) in on.rounds.iter().zip(&report.rounds) {
+        let picks = |r: &chef_core::RoundReport| -> Vec<(usize, Option<usize>)> {
+            r.selected.iter().map(|s| (s.index, s.suggested)).collect()
+        };
+        assert_eq!(picks(a), picks(b), "selected indices and suggestions");
+        assert_eq!(a.val_f1.to_bits(), b.val_f1.to_bits());
+        assert_eq!(a.test_f1.to_bits(), b.test_f1.to_bits());
+    }
+    let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&on.final_w), bits(&report.final_w), "final_w bits");
 }

@@ -1,13 +1,13 @@
 //! Equivalence tests for the batched training/replay engine.
 //!
-//! Three guarantees from DESIGN.md §13 are pinned here, in both feature
-//! configurations (`--features parallel` and `--no-default-features`):
+//! Three guarantees from DESIGN.md §13 are pinned here, at every rayon
+//! pool size:
 //!
 //! 1. the GEMM-backed `grad_block` (logistic regression) and the generic
 //!    per-sample fallback (MLP) agree with a reference per-sample
 //!    weighted gradient sum to ≤1e-10;
 //! 2. the full SGD trajectory through `WeightedObjective::batch_grad` is
-//!    *bit-identical* between the dispatched path and the always-compiled
+//!    *bit-identical* between the dispatched path and the 1-worker
 //!    serial twin — every cached `w_t` and `∇F(w_t, B_t)`;
 //! 3. the flat `TraceStore` provenance arena replays through
 //!    DeltaGrad-L exactly as the old per-iteration `Vec<Vec<f64>>`
