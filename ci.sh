@@ -103,6 +103,12 @@ if compgen -G "target/oocs_scale-*" > /dev/null; then
   exit 1
 fi
 
+echo "==> benchmark package tests (release: reporting rules + tiny replay of every workload)"
+# benchmark/ is a package of its own, outside the workspace, so the
+# lanes above never build it. Its smoke test fails on any broken check:
+# pair identity, memory ≡ mmap, traced ≡ untraced, serve ≡ sync.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --doc"
 cargo test -q --doc --workspace
 

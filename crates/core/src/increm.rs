@@ -55,42 +55,61 @@ struct Provenance {
     num_classes: usize,
 }
 
-/// One sample's provenance, produced independently per sample so the
-/// initialization step can fan out over the thread pool.
-struct ProvenanceRow {
-    grad0: Vec<f64>,
-    class_grads0: Vec<f64>,
-    hessian_norm0: f64,
-    class_hessian_norms0: Vec<f64>,
+/// The provenance of rows `start..start + hessian_norms0.len()`: one
+/// contiguous block of each flat [`Provenance`] buffer, borrowed so the
+/// initialization step writes every row in place.
+struct ProvenanceBlock<'a> {
+    start: usize,
+    grads0: &'a mut [f64],
+    class_grads0: &'a mut [f64],
+    hessian_norms0: &'a mut [f64],
+    class_hessian_norms0: &'a mut [f64],
 }
 
-/// Compute sample `i`'s provenance at `w0`. `g` is a reusable gradient
-/// buffer of length `model.num_params()`.
-fn provenance_row<M: Model + ?Sized>(
-    model: &M,
-    data: &dyn DatasetStore,
-    w0: &[f64],
-    i: usize,
-    g: &mut [f64],
-) -> ProvenanceRow {
-    let m = model.num_params();
-    let c_count = model.num_classes();
-    let x = data.feature(i);
-    let y = data.label(i);
-    model.grad(w0, x, y, g);
-    let grad0 = g.to_vec();
-    let mut cg = vec![0.0; c_count * m];
-    for c in 0..c_count {
-        model.class_grad(w0, x, c, g);
-        cg[c * m..(c + 1) * m].copy_from_slice(g);
+impl<'a> ProvenanceBlock<'a> {
+    /// Compute every row of the block at `w0`. Rows are independent, so
+    /// how the rows are split into blocks cannot change a bit.
+    fn fill<M: Model + ?Sized>(&mut self, model: &M, data: &dyn DatasetStore, w0: &[f64]) {
+        let m = model.num_params();
+        let c_count = model.num_classes();
+        let rows = self
+            .grads0
+            .chunks_exact_mut(m)
+            .zip(self.class_grads0.chunks_exact_mut(c_count * m))
+            .zip(self.hessian_norms0.iter_mut())
+            .zip(self.class_hessian_norms0.chunks_exact_mut(c_count));
+        for (r, (((grad0, class_grads0), hessian_norm0), class_norms0)) in rows.enumerate() {
+            let i = self.start + r;
+            let x = data.feature(i);
+            let y = data.label(i);
+            model.grad(w0, x, y, grad0);
+            for (c, row) in class_grads0.chunks_exact_mut(m).enumerate() {
+                model.class_grad(w0, x, c, row);
+            }
+            *hessian_norm0 = model.hessian_norm(w0, x, y);
+            for (c, norm) in class_norms0.iter_mut().enumerate() {
+                *norm = model.class_hessian_norm(w0, x, c);
+            }
+        }
     }
-    ProvenanceRow {
-        grad0,
-        class_grads0: cg,
-        hessian_norm0: model.hessian_norm(w0, x, y),
-        class_hessian_norms0: (0..c_count)
-            .map(|c| model.class_hessian_norm(w0, x, c))
-            .collect(),
+
+    /// Split into consecutive blocks of at most `rows` rows each.
+    fn split(self, rows: usize, m: usize, c_count: usize) -> Vec<ProvenanceBlock<'a>> {
+        let start = self.start;
+        self.grads0
+            .chunks_mut(rows * m)
+            .zip(self.class_grads0.chunks_mut(rows * c_count * m))
+            .zip(self.hessian_norms0.chunks_mut(rows))
+            .zip(self.class_hessian_norms0.chunks_mut(rows * c_count))
+            .enumerate()
+            .map(|(k, (((g, cg), hn), chn))| ProvenanceBlock {
+                start: start + k * rows,
+                grads0: g,
+                class_grads0: cg,
+                hessian_norms0: hn,
+                class_hessian_norms0: chn,
+            })
+            .collect()
     }
 }
 
@@ -187,13 +206,22 @@ impl IncremInfl {
     /// Initialization step: pre-compute provenance for every training
     /// sample at the initial model `w⁽⁰⁾`.
     ///
-    /// With more than one worker thread, the per-sample rows are computed
-    /// across the thread pool; every row is independent (no
+    /// Each row is written in place into the flat provenance buffers.
+    /// With more than one worker thread, disjoint blocks of rows are
+    /// filled across the thread pool; every row is independent (no
     /// floating-point reduction), so the provenance is bit-identical to
     /// the serial computation.
     pub fn initialize<M: Model + ?Sized>(model: &M, data: &dyn DatasetStore, w0: &[f64]) -> Self {
         let m = model.num_params();
+        let c_count = model.num_classes();
         let n = data.len();
+        // Every row is written straight into its slices of the flat
+        // buffers, so the provenance is held once: no per-row vectors
+        // copied into place afterwards.
+        let mut grads0 = vec![0.0; n * m];
+        let mut class_grads0 = vec![0.0; n * c_count * m];
+        let mut hessian_norms0 = vec![0.0; n];
+        let mut class_hessian_norms0 = vec![0.0; n * c_count];
         // One storage shard at a time: each shard's feature rows are
         // prefetched, swept, and released before the next shard is
         // touched, so an out-of-core store never holds more than one
@@ -202,7 +230,6 @@ impl IncremInfl {
         // and the parallel fan-out within a slab — cannot change a bit
         // of the provenance relative to one flat 0..n sweep.
         let bounds = data.shard_boundaries();
-        let mut rows: Vec<ProvenanceRow> = Vec::with_capacity(n);
         for (k, win) in bounds.windows(2).enumerate() {
             let (lo, hi) = (win[0], win[1]);
             data.advise_range(lo, hi);
@@ -213,34 +240,33 @@ impl IncremInfl {
             if k + 2 < bounds.len() {
                 data.prefetch_upcoming(bounds[k + 1], bounds[k + 2]);
             }
+            let mut slab = ProvenanceBlock {
+                start: lo,
+                grads0: &mut grads0[lo * m..hi * m],
+                class_grads0: &mut class_grads0[lo * c_count * m..hi * c_count * m],
+                hessian_norms0: &mut hessian_norms0[lo..hi],
+                class_hessian_norms0: &mut class_hessian_norms0[lo * c_count..hi * c_count],
+            };
             if hi - lo >= PAR_GRAIN && rayon::current_num_threads() > 1 {
                 use rayon::prelude::*;
-                let mut slab: Vec<ProvenanceRow> = (lo..hi)
-                    .into_par_iter()
-                    .map_init(
-                        || vec![0.0; m],
-                        |g, i| provenance_row(model, data, w0, i, g),
-                    )
+                // Disjoint `PAR_GRAIN`-row blocks of the slab, one task
+                // each; a block's lock is only ever taken by the task
+                // that fills it.
+                let blocks: Vec<std::sync::Mutex<ProvenanceBlock<'_>>> = slab
+                    .split(PAR_GRAIN, m, c_count)
+                    .into_iter()
+                    .map(std::sync::Mutex::new)
                     .collect();
-                rows.append(&mut slab);
-                data.advise_scanned(lo, hi);
-                continue;
+                blocks.par_iter().for_each(|block| {
+                    block
+                        .lock()
+                        .expect("provenance block lock")
+                        .fill(model, data, w0);
+                });
+            } else {
+                slab.fill(model, data, w0);
             }
-            let mut g = vec![0.0; m];
-            rows.extend((lo..hi).map(|i| provenance_row(model, data, w0, i, &mut g)));
             data.advise_scanned(lo, hi);
-        }
-
-        let c_count = model.num_classes();
-        let mut grads0 = Vec::with_capacity(n * m);
-        let mut class_grads0 = Vec::with_capacity(n * c_count * m);
-        let mut hessian_norms0 = Vec::with_capacity(n);
-        let mut class_hessian_norms0 = Vec::with_capacity(n * c_count);
-        for row in rows {
-            grads0.extend_from_slice(&row.grad0);
-            class_grads0.extend_from_slice(&row.class_grads0);
-            hessian_norms0.push(row.hessian_norm0);
-            class_hessian_norms0.extend_from_slice(&row.class_hessian_norms0);
         }
         Self {
             provenance: Provenance {
@@ -504,25 +530,6 @@ impl IncremInfl {
             .map(|e| e.ub)
             .fold(f64::NEG_INFINITY, f64::max);
 
-        // Diagnostic: CHEF_INCREM_DEBUG=1 prints the bound geometry
-        // (e₁, e₂, L, I₀/lower-bound quantiles) for tuning runs.
-        if std::env::var("CHEF_INCREM_DEBUG").is_ok() {
-            let lbs: Vec<f64> = entries.iter().map(|e| e.lb_min).collect();
-            let i0s: Vec<f64> = entries.iter().map(|e| e.i0).collect();
-            let med = |v: &Vec<f64>| {
-                let mut u = v.clone();
-                u.sort_by(|a, b| a.total_cmp(b));
-                u[u.len() / 2]
-            };
-            eprintln!(
-                "increm dbg: e1={e1:.3e} e2={e2:.3e} L={l:.3e} i0[min={:.3e} med={:.3e}] lb[min={:.3e} med={:.3e}] width_med={:.3e}",
-                i0s.iter().cloned().fold(f64::INFINITY, f64::min),
-                med(&i0s),
-                lbs.iter().cloned().fold(f64::INFINITY, f64::min),
-                med(&lbs),
-                med(&i0s) - med(&lbs),
-            );
-        }
         let mut cands: Vec<usize> = entries[..b_eff].iter().map(|e| e.index).collect();
         for e in &entries[b_eff..] {
             if e.lb_min < l {
@@ -748,6 +755,85 @@ mod tests {
         let (a, _) = inc.candidates(&model, &data, &w0, &v, &pool, 5, obj.gamma);
         let (b, _) = restored.candidates(&model, &data, &w0, &v, &pool, 5, obj.gamma);
         assert_eq!(a, b);
+    }
+
+    /// Row-wise reference for [`IncremInfl::initialize`]: each sample's
+    /// gradients and norms computed into scratch vectors, then appended
+    /// to the flat buffers in row order.
+    fn initialize_rowwise<M: Model + ?Sized>(
+        model: &M,
+        data: &dyn DatasetStore,
+        w0: &[f64],
+    ) -> IncremInfl {
+        let (m, c_count) = (model.num_params(), model.num_classes());
+        let mut snap = IncremSnapshot {
+            w0: w0.to_vec(),
+            grads0: Vec::new(),
+            class_grads0: Vec::new(),
+            hessian_norms0: Vec::new(),
+            class_hessian_norms0: Vec::new(),
+            num_params: m,
+            num_classes: c_count,
+            slack: 1.0,
+        };
+        let mut g = vec![0.0; m];
+        for i in 0..data.len() {
+            let (x, y) = (data.feature(i), data.label(i));
+            model.grad(w0, x, y, &mut g);
+            snap.grads0.extend_from_slice(&g);
+            for c in 0..c_count {
+                model.class_grad(w0, x, c, &mut g);
+                snap.class_grads0.extend_from_slice(&g);
+            }
+            snap.hessian_norms0.push(model.hessian_norm(w0, x, y));
+            for c in 0..c_count {
+                snap.class_hessian_norms0
+                    .push(model.class_hessian_norm(w0, x, c));
+            }
+        }
+        IncremInfl::from_snapshot(snap).unwrap()
+    }
+
+    fn snapshot_bits(s: &IncremSnapshot) -> Vec<u64> {
+        s.w0.iter()
+            .chain(&s.grads0)
+            .chain(&s.class_grads0)
+            .chain(&s.hessian_norms0)
+            .chain(&s.class_hessian_norms0)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn in_place_initialization_equals_the_rowwise_reference() {
+        // 300 rows clear the parallel grain, so a multi-worker pool runs
+        // the blocked fan-out (with a partial last block); the
+        // three-class MLP covers the per-sample model path.
+        let (model, obj, data, _) = fixture(300, 8);
+        let w0 = fit(&model, &obj, &data, 5, 2);
+        let snap = IncremInfl::initialize(&model, &data, &w0).snapshot();
+        let reference = initialize_rowwise(&model, &data, &w0).snapshot();
+        assert_eq!(snap, reference);
+        assert_eq!(snapshot_bits(&snap), snapshot_bits(&reference));
+        assert_eq!(snap.grads0.len(), 300 * snap.num_params);
+
+        let mlp = chef_model::Mlp::new(2, 4, 3);
+        let three = Dataset::new(
+            Matrix::from_vec(
+                300,
+                2,
+                (0..600).map(|k| (k % 17) as f64 / 8.0 - 1.0).collect(),
+            ),
+            (0..300).map(|i| SoftLabel::onehot(i % 3, 3)).collect(),
+            vec![false; 300],
+            vec![None; 300],
+            3,
+        );
+        let w0 = chef_model::Model::initial_params(&mlp, 4);
+        let snap = IncremInfl::initialize(&mlp, &three, &w0).snapshot();
+        let reference = initialize_rowwise(&mlp, &three, &w0).snapshot();
+        assert_eq!(snap, reference);
+        assert_eq!(snapshot_bits(&snap), snapshot_bits(&reference));
     }
 
     #[test]

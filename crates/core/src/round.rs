@@ -314,7 +314,8 @@ impl<'a> RoundLoop<'a> {
         // DeltaGrad-L's Eq. 4 corrections need the *pre-annotation*
         // labels of exactly the selected samples. An overlay of those few
         // labels over the post-annotation store replaces a full dataset
-        // clone — O(b) instead of O(n·d) per round, and the only way an
+        // clone — O(b) here plus an n-bit membership set when the view
+        // is built, instead of O(n·d) per round, and the only way an
         // out-of-core store could provide an "old dataset" at all.
         let mut prior = LabelOverlay::new();
         for sel in &selections {

@@ -190,10 +190,11 @@ impl LogisticRegression {
     /// Fill `pb` (softmax probabilities) and `ub` (`U = X̃Vᵀ`), each
     /// `bsz×C` — the two GEMM panels every batched entry point consumes,
     /// computed on the configured [`KernelBackend`]. Consecutive blocks
-    /// (the common case: pools and Hessian batches are ascending index
-    /// ranges) feed the dataset's contiguous feature storage straight
-    /// into the GEMM; scattered blocks gather their rows into `xb`
-    /// first.
+    /// (full-dataset Hessian sweeps, gap-free runs of the ascending
+    /// uncleaned pool) feed the dataset's contiguous feature storage
+    /// straight into the GEMM; scattered blocks (subsampled Hessian
+    /// batches, pools around cleaned rows, candidate sets) gather their
+    /// rows into `xb` first.
     #[allow(clippy::too_many_arguments)]
     fn block_panels(
         &self,
@@ -244,8 +245,11 @@ impl LogisticRegression {
 }
 
 /// Borrow a block's feature rows: the dataset's contiguous storage for
-/// consecutive blocks (the common case — minibatches from `BatchPlan`
-/// are ascending ranges), a gather into `xb` otherwise.
+/// consecutive blocks (full-dataset sweeps, gap-free runs of the
+/// ascending uncleaned pool), a gather into `xb` otherwise. `BatchPlan`
+/// minibatches and subsampled Hessian batches are chunks of a shuffled
+/// permutation, so SGD, DeltaGrad-L replay and the subsampled CG solve
+/// always gather.
 fn block_features<'a>(
     data: &'a dyn DatasetStore,
     block: &[usize],

@@ -321,6 +321,16 @@ impl DatasetStore for Dataset {
 ///
 /// Mutating methods panic: the overlay is a snapshot, not a store.
 ///
+/// # Cost contract
+///
+/// DeltaGrad-L's explicit replay steps read `label`/`is_clean` (via
+/// `weight`) for every row of every exact minibatch — hundreds of
+/// thousands of calls per round — so the view must cost what the base
+/// store costs. [`LabelOverlay::over`] builds a dense membership bitset
+/// over `0..base.len()` (n/8 bytes, O(n/64) to build); `label` and
+/// `is_clean` on an unpatched row are one bit test plus the base
+/// store's own call. Only the ≤ b patched rows consult the patch map.
+///
 /// # Examples
 ///
 /// ```
@@ -372,10 +382,23 @@ impl LabelOverlay {
     }
 
     /// View `base` through this overlay.
+    ///
+    /// # Panics
+    /// Panics if a patched index is out of range for `base`.
     pub fn over<'a>(&'a self, base: &'a dyn DatasetStore) -> OverlayView<'a> {
+        let n = base.len();
+        let mut patched = vec![0u64; n.div_ceil(64)];
+        for &i in self.patches.keys() {
+            assert!(
+                i < n,
+                "LabelOverlay: patched index {i} out of range for {n} rows"
+            );
+            patched[i / 64] |= 1 << (i % 64);
+        }
         OverlayView {
             base,
             overlay: self,
+            patched,
         }
     }
 }
@@ -384,6 +407,22 @@ impl LabelOverlay {
 pub struct OverlayView<'a> {
     base: &'a dyn DatasetStore,
     overlay: &'a LabelOverlay,
+    /// Bit `i` is set iff row `i` is patched; unpatched rows never touch
+    /// the patch map.
+    patched: Vec<u64>,
+}
+
+impl OverlayView<'_> {
+    /// The snapshot of row `i`, if it is patched.
+    #[inline]
+    fn patch(&self, i: usize) -> Option<&(SoftLabel, bool)> {
+        let word = self.patched.get(i / 64).copied().unwrap_or(0);
+        if (word >> (i % 64)) & 1 == 1 {
+            self.overlay.patches.get(&i)
+        } else {
+            None
+        }
+    }
 }
 
 impl DatasetStore for OverlayView<'_> {
@@ -415,15 +454,17 @@ impl DatasetStore for OverlayView<'_> {
         self.base.shard_boundaries()
     }
 
+    #[inline]
     fn label(&self, i: usize) -> &SoftLabel {
-        match self.overlay.patches.get(&i) {
+        match self.patch(i) {
             Some((label, _)) => label,
             None => self.base.label(i),
         }
     }
 
+    #[inline]
     fn is_clean(&self, i: usize) -> bool {
-        match self.overlay.patches.get(&i) {
+        match self.patch(i) {
             Some(&(_, clean)) => clean,
             None => self.base.is_clean(i),
         }
@@ -539,6 +580,59 @@ mod tests {
         assert_eq!(old.uncleaned_indices(), vec![1, 2]);
         // The live store really is cleaned.
         assert!(d.is_clean(1) && d.is_clean(2));
+    }
+
+    /// The bitset view answers exactly like a clone of the
+    /// pre-annotation store, on word boundaries (rows 63/64), both ends,
+    /// and an index whose snapshot was re-inserted.
+    #[test]
+    fn overlay_equals_pre_annotation_clone_on_every_row() {
+        let n = 130;
+        let mut d = Dataset::new(
+            Matrix::from_vec(n, 1, (0..n).map(|i| i as f64).collect()),
+            (0..n)
+                .map(|i| {
+                    let p = (i % 9) as f64 / 10.0 + 0.05;
+                    SoftLabel::new(vec![p, 1.0 - p])
+                })
+                .collect(),
+            (0..n).map(|i| i % 5 == 0).collect(),
+            vec![Some(0); n],
+            2,
+        );
+        let pre = d.clone();
+        let mut overlay = LabelOverlay::new();
+        // A stale snapshot of row 64 that the second insert overwrites.
+        overlay.insert(64, SoftLabel::onehot(1, 2), true);
+        for i in [0, 63, 64, 129] {
+            overlay.insert(i, d.label(i).clone(), d.is_clean(i));
+        }
+        assert_eq!(overlay.len(), 4);
+        d.set_label(0, SoftLabel::new(vec![0.5, 0.5]));
+        d.mark_uncleaned(0);
+        d.clean_label(63, SoftLabel::onehot(1, 2));
+        d.clean_label(64, SoftLabel::onehot(0, 2));
+        d.set_label(129, SoftLabel::new(vec![0.9, 0.1]));
+
+        let old = overlay.over(&d);
+        for i in 0..n {
+            assert_eq!(old.label(i), pre.label(i), "label of row {i}");
+            assert_eq!(old.is_clean(i), pre.is_clean(i), "clean flag of row {i}");
+            assert_eq!(
+                old.weight(i, 0.8).to_bits(),
+                DatasetStore::weight(&pre, i, 0.8).to_bits(),
+                "weight of row {i}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn overlay_rejects_out_of_range_patches() {
+        let d = toy();
+        let mut overlay = LabelOverlay::new();
+        overlay.insert(3, SoftLabel::onehot(0, 2), true);
+        let _ = overlay.over(&d);
     }
 
     #[test]

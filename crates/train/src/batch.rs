@@ -181,6 +181,30 @@ mod tests {
         assert_eq!(plan.iter().count(), plan.total_iterations());
     }
 
+    /// FNV-1a hashes of `BatchPlan::new(1000, 64, 3, 42)`'s epoch orders.
+    /// Provenance caches and checkpoints persist only the plan's four
+    /// scalars and rebuild the schedule on load, so the shuffle must stay
+    /// bit-stable across RNG and plan changes.
+    #[test]
+    fn epoch_orders_match_golden_hashes() {
+        let plan = BatchPlan::new(1000, 64, 3, 42);
+        let golden = [
+            0x03fa_9c01_f104_d31d_u64,
+            0x2967_b289_b399_df31,
+            0xbbe6_5d80_09fc_d771,
+        ];
+        for (e, want) in golden.into_iter().enumerate() {
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            for i in plan.epoch_order(e) {
+                for byte in (i as u64).to_le_bytes() {
+                    h ^= u64::from(byte);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, want, "epoch {e}");
+        }
+    }
+
     #[test]
     fn iteration_counts() {
         let plan = BatchPlan::new(100, 32, 5, 0);

@@ -9,8 +9,10 @@
 //! The generator is **xoshiro256++** seeded through SplitMix64 — the
 //! same construction the real `rand::rngs::SmallRng` uses on 64-bit
 //! targets. Streams are deterministic per seed but are *not* guaranteed
-//! to be bit-identical to the real crate's; all in-repo consumers treat
-//! seeded randomness statistically, never as golden data.
+//! to be bit-identical to the real crate's. They are stable within this
+//! repository, though: SGD minibatch schedules are rebuilt from their
+//! seed when a checkpoint loads, so the unit tests pin `gen_range`
+//! streams (and `chef-train` pins `BatchPlan` permutations) with goldens.
 //!
 //! [`rand`]: https://docs.rs/rand
 
@@ -199,16 +201,28 @@ pub mod distributions {
         }
         impl_sample_uniform_float!(f32, f64);
 
-        /// Unbiased integer sampling in `[0, span)` by rejection
-        /// (Lemire-style widening multiply would be faster; clarity wins
-        /// here — span is tiny in every in-repo call site).
+        /// Unbiased integer sampling in `[0, span)` by rejection: draws
+        /// at or above `zone = u64::MAX − (u64::MAX % span)` are redrawn,
+        /// the rest map to `v % span`.
+        ///
+        /// Spans run up to the slice length in [`SliceRandom::shuffle`]
+        /// (one call per element per epoch in SGD's `BatchPlan`), so the
+        /// per-draw cost matters. `u64::MAX % span < span` puts `zone`
+        /// strictly above `u64::MAX − span`, so every draw at or below
+        /// that threshold is accepted without computing `zone`; only
+        /// the top `span` values pay the second division. Accept/reject
+        /// decisions and results are exactly those of the plain
+        /// rejection loop, so every stream is unchanged. (Lemire's
+        /// widening multiply would be faster still but yields different
+        /// streams.)
+        ///
+        /// [`SliceRandom::shuffle`]: crate::seq::SliceRandom::shuffle
         #[inline]
         fn below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
             debug_assert!(span > 0);
-            let zone = u64::MAX - (u64::MAX % span);
             loop {
                 let v = rng.next_u64();
-                if v < zone {
+                if v <= u64::MAX - span || v < u64::MAX - (u64::MAX % span) {
                     return v % span;
                 }
             }
@@ -371,5 +385,95 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.3)).count();
         assert!((2_700..3_300).contains(&hits), "hits {hits}");
+    }
+
+    /// The first 16 `gen_range(0..span)` draws at seed `0x5EED`, recorded
+    /// from the plain two-division rejection loop. Seeded SGD schedules
+    /// (and so every provenance cache and checkpoint) depend on these
+    /// streams; a faster `below()` must not move a single draw. The
+    /// `2^63 + 1` span rejects about half its raw draws, so the golden
+    /// also pins redraws.
+    #[test]
+    fn gen_range_streams_match_golden() {
+        let golden: [(u64, [u64; 16]); 6] = [
+            (1, [0; 16]),
+            (2, [0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0]),
+            (3, [2, 2, 1, 1, 2, 1, 2, 0, 0, 2, 0, 1, 1, 2, 1, 0]),
+            (7, [2, 3, 6, 3, 5, 4, 1, 1, 0, 2, 3, 3, 3, 4, 0, 5]),
+            (
+                78_487,
+                [
+                    77251, 48425, 37268, 51695, 63882, 70686, 2140, 35510, 4146, 32692, 43601,
+                    49787, 32259, 67663, 6427, 30475,
+                ],
+            ),
+            (
+                (1 << 63) + 1,
+                [
+                    1677040964159157043,
+                    8068187894902567183,
+                    7974362285425930994,
+                    7209157427833052836,
+                    5082792014966286293,
+                    1992388056607089372,
+                    5307108379771133491,
+                    1851710451612373387,
+                    583741937479215114,
+                    164618998265425961,
+                    2669446720827929927,
+                    2958485028112303321,
+                    5130286035739327399,
+                    697727699325567741,
+                    9170248678374520867,
+                    6176789123849806125,
+                ],
+            ),
+        ];
+        for (span, want) in golden {
+            let mut rng = SmallRng::seed_from_u64(0x5EED);
+            let got: Vec<u64> = (0..16).map(|_| rng.gen_range(0..span)).collect();
+            assert_eq!(got, want, "span {span}");
+        }
+    }
+
+    /// An `RngCore` that replays a fixed script of raw draws.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script exhausted")
+        }
+    }
+
+    /// Raw values straddling both thresholds of `below()` — the fast
+    /// accept bound `u64::MAX − span` and the rejection zone — get the
+    /// plain loop's decision: an accepted draw returns `v % span`, a
+    /// rejected one is redrawn.
+    #[test]
+    fn exact_zone_draws_match_the_reference_loop() {
+        for span in [1u64, 2, 3, 7, 64, 78_487, 1 << 32, (1 << 63) + 1, u64::MAX] {
+            let zone = u64::MAX - (u64::MAX % span);
+            let fast = u64::MAX - span;
+            let probes = [
+                0,
+                span - 1,
+                fast.saturating_sub(1),
+                fast,
+                fast + 1,
+                zone - 1,
+                zone,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            for v in probes {
+                // The plain rejection loop: redraw at or above `zone`.
+                // A rejected probe falls through to the fallback draw 3.
+                let want = if v < zone { v % span } else { 3 % span };
+                let mut rng = Scripted(vec![v, 3].into_iter());
+                assert_eq!(rng.gen_range(0..span), want, "span {span}, draw {v}");
+                let left = rng.0.len();
+                assert_eq!(left, usize::from(v < zone), "span {span}, draw {v}");
+            }
+        }
     }
 }
