@@ -28,31 +28,24 @@ if grep -rnE 'feature *= *"(parallel|telemetry|enabled)"' crates tests; then
   exit 1
 fi
 
-echo "==> cargo test (1 rayon worker)"
+echo "==> cargo test (1 rayon worker, 1-worker serve pool)"
 # The shim's pool size is env-pinned; running the suite at both ends of
 # {1,4} workers covers the serial dispatch path and the chunked
 # parallel paths (serial/parallel equivalence tests then compare real
-# threads).
-RAYON_NUM_THREADS=1 cargo test -q --workspace
+# threads). The pooled scheduler must preserve every serve invariant at
+# both ends of its pool-size range too: 1 worker (fully serialized
+# slices) and the default 4. CHEF_SERVE_WORKERS pins the pool without
+# touching tests.
+RAYON_NUM_THREADS=1 CHEF_SERVE_WORKERS=1 cargo test -q --workspace
 
-echo "==> cargo test (4 rayon workers)"
-RAYON_NUM_THREADS=4 cargo test -q --workspace
+echo "==> cargo test (4 rayon workers, 4-worker serve pool)"
+RAYON_NUM_THREADS=4 CHEF_SERVE_WORKERS=4 cargo test -q --workspace
 
 echo "==> cargo test (fault injection: crash/torn-write/bit-flip replay equivalence)"
 cargo test -q -p chef-core --features fault-inject --test checkpoint_resume --test store_equivalence
 
-echo "==> cargo test (daemon fault harness: kill-mid-round / torn-checkpoint / stale-replay under serve)"
-cargo test -q -p chef-serve --features fault-inject --test serve_fault
-
-# The pooled scheduler must preserve every serve invariant at both ends
-# of its pool-size range: 1 worker (fully serialized slices) and the
-# default 4. CHEF_SERVE_WORKERS pins the pool without touching tests.
-echo "==> cargo test (serve suites, 1-worker pool)"
-CHEF_SERVE_WORKERS=1 cargo test -q -p chef-serve
+echo "==> cargo test (daemon fault harness at 1 and 4 pool workers: kill-mid-round / torn-checkpoint / stale-replay under serve)"
 CHEF_SERVE_WORKERS=1 cargo test -q -p chef-serve --features fault-inject --test serve_fault
-
-echo "==> cargo test (serve suites, 4-worker pool)"
-CHEF_SERVE_WORKERS=4 cargo test -q -p chef-serve
 CHEF_SERVE_WORKERS=4 cargo test -q -p chef-serve --features fault-inject --test serve_fault
 
 # One framed submit + blocking results piped through the daemon's stdio

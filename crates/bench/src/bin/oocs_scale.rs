@@ -292,11 +292,15 @@ fn run_child(args: &[String]) {
         let mut data = store.to_dataset();
         drop(store);
         random_probabilistic_labels(&mut data, weaken_seed);
-        pipeline.run_store(&model, &mut data, &val, &test, &mut selector)
+        pipeline
+            .round_loop(&model, &mut data, &val, &test, &mut selector)
+            .run_sync()
     } else {
         let mut store = MmapStore::open_with(&train_dir, mmap_opts).expect("open train store");
         random_probabilistic_labels(&mut store, weaken_seed);
-        let report = pipeline.run_store(&model, &mut store, &val, &test, &mut selector);
+        let report = pipeline
+            .round_loop(&model, &mut store, &val, &test, &mut selector)
+            .run_sync();
         store_io = store.io_stats();
         report
     };

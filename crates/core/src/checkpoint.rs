@@ -7,8 +7,8 @@
 //! patches, the Increm-Infl frozen `w⁽⁰⁾` provenance, the DeltaGrad-L
 //! provenance trace with its replayable batch plan, the annotator RNG
 //! stream seed, and every finished [`RoundReport`] — such that
-//! [`crate::Pipeline::resume`] continues the loop **bit-identically** to
-//! a run that was never interrupted (`tests/checkpoint_resume.rs` pins
+//! [`crate::Pipeline::resume_round_loop_latest`] continues the loop
+//! **bit-identically** to a run that was never interrupted (`tests/checkpoint_resume.rs` pins
 //! this; DESIGN.md §12 documents the guarantee).
 //!
 //! # On-disk layout

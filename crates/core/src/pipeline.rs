@@ -7,14 +7,14 @@
 //! wall-clock times are recorded so the harness can regenerate the
 //! paper's Table 2 and Figure 2 directly from a pipeline run.
 
-use crate::annotation::{AnnotationConfig, AnnotationOutcome, AnnotationPhase, AnnotationStats};
+use crate::annotation::AnnotationConfig;
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, LabelPatch};
 use crate::constructor::{ConstructorKind, ModelConstructor};
 #[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::increm::IncremStats;
 use crate::metrics::evaluate_f1;
-use crate::round::{LoopState, RoundLoop, RoundStep};
+use crate::round::{LoopState, RoundLoop, SuspendedLoop};
 use crate::selector::{SampleSelector, Selection};
 use chef_model::{Dataset, DatasetStore, Model, WeightedObjective};
 use chef_obs::{RoundTelemetry, Telemetry};
@@ -49,9 +49,8 @@ pub struct PipelineConfig {
     /// Durable checkpointing (DESIGN.md §12): when set, the loop writes a
     /// `checkpoint.v1` generation file every
     /// [`CheckpointConfig::every_rounds`] completed rounds, and
-    /// [`Pipeline::resume`] / [`Pipeline::resume_latest`] continue an
-    /// interrupted run bit-identically. `None` (the default) writes
-    /// nothing.
+    /// [`Pipeline::resume_round_loop_latest`] continues an interrupted
+    /// run bit-identically. `None` (the default) writes nothing.
     pub checkpoint: Option<CheckpointConfig>,
     /// Deterministic fault injection (`fault-inject` feature only): the
     /// test harness's crash/torn-write/bit-flip/timeout schedule.
@@ -147,10 +146,11 @@ impl PipelineReport {
         self.rounds.last().map_or(self.initial_val_f1, |r| r.val_f1)
     }
 
-    /// Accumulated selector time across rounds. After a
-    /// [`Pipeline::resume`], `rounds` includes the restored pre-crash
-    /// reports (durations persisted in the checkpoint), so this total
-    /// covers the whole logical run, not just the resumed session.
+    /// Accumulated selector time across rounds. After a resume
+    /// ([`Pipeline::resume_round_loop_latest`]), `rounds` includes the
+    /// restored pre-crash reports (durations persisted in the
+    /// checkpoint), so this total covers the whole logical run, not just
+    /// the resumed session.
     pub fn total_select_time(&self) -> Duration {
         self.rounds.iter().map(|r| r.select_time).sum()
     }
@@ -163,12 +163,11 @@ impl PipelineReport {
 }
 
 /// A [`PipelineReport`] without the materialized `final_data` copy: the
-/// result of the store-generic entry points ([`Pipeline::run_store`],
-/// [`Pipeline::resume_store`]), which mutate the caller's
-/// [`DatasetStore`] in place. An out-of-core run at n = 10⁶ must not
-/// end by cloning a quarter-gigabyte of features into RAM; callers that
-/// do want an owned snapshot call [`DatasetStore::to_dataset`]
-/// explicitly.
+/// result of [`RoundLoop::finish`] (and so of [`RoundLoop::run_sync`]),
+/// whose loop mutates the caller's [`DatasetStore`] in place. An
+/// out-of-core run at n = 10⁶ must not end by cloning a quarter-gigabyte
+/// of features into RAM; callers that do want an owned snapshot call
+/// [`DatasetStore::to_dataset`] explicitly.
 #[derive(Debug, Clone)]
 pub struct StorePipelineReport {
     /// Validation F1 of the uncleaned model.
@@ -300,34 +299,22 @@ impl Pipeline {
         test: &Dataset,
         selector: &mut dyn SampleSelector,
     ) -> PipelineReport {
-        let out = self.run_store(model, &mut data, val, test, selector);
+        let out = self
+            .round_loop(model, &mut data, val, test, selector)
+            .run_sync();
         out.into_report(data)
     }
 
-    /// Storage-generic [`Self::run`]: drives the cleaning loop over any
-    /// [`DatasetStore`], mutating its labels in place. This is the entry
-    /// point for out-of-core runs (DESIGN.md §15) — a
-    /// `chef_data::MmapStore` keeps features on disk while labels and
-    /// flags update in RAM — and is exactly what [`Self::run`] calls on
-    /// its owned in-memory copy, so both paths are one code path and
-    /// bit-identical on the same data.
-    pub fn run_store(
-        &self,
-        model: &dyn Model,
-        data: &mut dyn DatasetStore,
-        val: &dyn DatasetStore,
-        test: &dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-    ) -> StorePipelineReport {
-        self.drive_sync(self.round_loop(model, data, val, test, selector))
-    }
-
-    /// The async-boundary entry point (DESIGN.md §16): run the
-    /// initialization training and return the loop as a [`RoundLoop`]
-    /// state machine that yields [`crate::AnnotationBatch`]es instead of
-    /// blocking on annotators. [`Self::run_store`] is this plus a driver
-    /// that answers every batch with the in-process simulated panel —
-    /// one code path, so both are bit-identical on the same data.
+    /// Start the cleaning loop on any [`DatasetStore`] (DESIGN.md §16):
+    /// run the initialization training and return the loop as a
+    /// [`RoundLoop`] state machine that yields
+    /// [`crate::AnnotationBatch`]es instead of blocking on annotators.
+    /// [`RoundLoop::run_sync`] answers every batch with the in-process
+    /// simulated panel — that is all [`Self::run`] adds — so an
+    /// out-of-core run (DESIGN.md §15: a `chef_data::MmapStore` keeps
+    /// features on disk while labels and flags update in RAM) and an
+    /// in-memory one are one code path and bit-identical on the same
+    /// data.
     pub fn round_loop<'a>(
         &'a self,
         model: &'a dyn Model,
@@ -368,133 +355,34 @@ impl Pipeline {
             initial_test_f1,
             init_time: init.elapsed,
         };
-        RoundLoop::new(self, model, data, val, test, selector, state)
+        let fresh = SuspendedLoop::between_rounds(state);
+        RoundLoop::from_suspended(self, model, data, val, test, selector, fresh)
     }
 
-    /// Resume an interrupted run from the checkpoint file at `path`.
+    /// Resume an interrupted run from the newest readable checkpoint
+    /// generation in `dir`, falling back over corrupt generations (each
+    /// fallback is counted in the `resume.corrupt_fallbacks` telemetry
+    /// counter), and return the loop parked at its next round for
+    /// [`RoundLoop::run_sync`] or an external annotation source to
+    /// drive. This is how a `chef-serve` job picks up a killed tenant.
     ///
-    /// `data` must be the *pristine* training set the original run
+    /// `data` must be the *pristine* training store the original run
     /// started from — the checkpoint's label patches are replayed onto
-    /// it. `selector` must be the same selector kind the original run
-    /// used; its frozen Increm-Infl provenance is restored from the
-    /// checkpoint, so no re-initialization pass runs. The continued run
-    /// is bit-identical to one that was never interrupted (the
-    /// replay-equivalence guarantee of DESIGN.md §12, pinned by
-    /// `tests/checkpoint_resume.rs`), and the returned report aggregates
-    /// the restored rounds — `total_select_time` / `total_update_time` /
+    /// it. `checkpoint.v1` stores row indices and label vectors only, no
+    /// feature bytes, so the same file resumes an in-memory run or an
+    /// out-of-core one. `selector` must be the same selector kind the
+    /// original run used; its frozen Increm-Infl provenance is restored
+    /// from the checkpoint, so no re-initialization pass runs. The
+    /// continued run is bit-identical to one that was never interrupted
+    /// (the replay-equivalence guarantee of DESIGN.md §12, pinned by
+    /// `tests/checkpoint_resume.rs`), and its report aggregates the
+    /// restored rounds — `total_select_time` / `total_update_time` /
     /// `init_time` cover the pre-crash work too.
     ///
     /// Restored rounds are replayed into the telemetry handle
     /// (`resume.rounds_skipped` counts them) so counters and the exported
     /// `rounds` array match an uninterrupted run; wall-clock histograms
     /// and spans only cover the resumed session.
-    pub fn resume(
-        &self,
-        model: &dyn Model,
-        mut data: Dataset,
-        val: &Dataset,
-        test: &Dataset,
-        selector: &mut dyn SampleSelector,
-        path: &Path,
-    ) -> Result<PipelineReport, CheckpointError> {
-        let out = self.resume_store(model, &mut data, val, test, selector, path)?;
-        Ok(out.into_report(data))
-    }
-
-    /// Storage-generic [`Self::resume`]: replays the checkpoint's label
-    /// patches onto `data` (which must be the pristine training store
-    /// the original run started from) and continues the loop in place.
-    /// `checkpoint.v1` stores row indices and label vectors only — no
-    /// feature bytes — so the same file resumes an in-memory run or an
-    /// out-of-core one interchangeably.
-    pub fn resume_store(
-        &self,
-        model: &dyn Model,
-        data: &mut dyn DatasetStore,
-        val: &dyn DatasetStore,
-        test: &dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-        path: &Path,
-    ) -> Result<StorePipelineReport, CheckpointError> {
-        let ckpt = Checkpoint::read_from(path)?;
-        self.resume_from(model, data, val, test, selector, ckpt, 0)
-    }
-
-    /// [`Self::resume`] from the newest readable generation in `dir`,
-    /// falling back over corrupt generations (each fallback is counted in
-    /// the `resume.corrupt_fallbacks` telemetry counter).
-    pub fn resume_latest(
-        &self,
-        model: &dyn Model,
-        mut data: Dataset,
-        val: &Dataset,
-        test: &Dataset,
-        selector: &mut dyn SampleSelector,
-        dir: &Path,
-    ) -> Result<PipelineReport, CheckpointError> {
-        let (ckpt, _path, corrupt_skipped) = Checkpoint::latest_in_dir(dir)?;
-        let out = self.resume_from(model, &mut data, val, test, selector, ckpt, corrupt_skipped)?;
-        Ok(out.into_report(data))
-    }
-
-    /// [`Self::resume_store`] from the newest readable generation in
-    /// `dir`, with the same corrupt-generation fallback as
-    /// [`Self::resume_latest`].
-    pub fn resume_latest_store(
-        &self,
-        model: &dyn Model,
-        data: &mut dyn DatasetStore,
-        val: &dyn DatasetStore,
-        test: &dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-        dir: &Path,
-    ) -> Result<StorePipelineReport, CheckpointError> {
-        let (ckpt, _path, corrupt_skipped) = Checkpoint::latest_in_dir(dir)?;
-        self.resume_from(model, data, val, test, selector, ckpt, corrupt_skipped)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn resume_from(
-        &self,
-        model: &dyn Model,
-        data: &mut dyn DatasetStore,
-        val: &dyn DatasetStore,
-        test: &dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-        ckpt: Checkpoint,
-        corrupt_skipped: usize,
-    ) -> Result<StorePipelineReport, CheckpointError> {
-        let state = self.restored_state(data, selector, ckpt, corrupt_skipped)?;
-        Ok(self.drive_sync(RoundLoop::new(
-            self, model, data, val, test, selector, state,
-        )))
-    }
-
-    /// Reattach a [`crate::SuspendedLoop`] to its resources and continue
-    /// it as a live [`RoundLoop`] — the other half of
-    /// [`RoundLoop::suspend`]. The borrows must be the same logical
-    /// resources the loop was suspended from (same training store
-    /// contents, same model, same selector instance); the constructor is
-    /// rebuilt fresh, which is bit-identical because it is stateless
-    /// across rounds (the resume path already relies on this).
-    pub fn reattach_round_loop<'a>(
-        &'a self,
-        model: &'a dyn Model,
-        data: &'a mut dyn DatasetStore,
-        val: &'a dyn DatasetStore,
-        test: &'a dyn DatasetStore,
-        selector: &'a mut dyn SampleSelector,
-        suspended: crate::SuspendedLoop,
-    ) -> RoundLoop<'a> {
-        RoundLoop::from_suspended(self, model, data, val, test, selector, suspended)
-    }
-
-    /// [`Self::round_loop`] resuming from the newest readable checkpoint
-    /// generation in `dir` (same fallback-over-corrupt-generations
-    /// behavior as [`Self::resume_latest`]): restores labels, selector
-    /// provenance and telemetry, then returns the parked state machine
-    /// for an external annotation source to drive. This is how a
-    /// `chef-serve` job picks up a killed tenant bit-identically.
     pub fn resume_round_loop_latest<'a>(
         &'a self,
         model: &'a dyn Model,
@@ -506,14 +394,15 @@ impl Pipeline {
     ) -> Result<RoundLoop<'a>, CheckpointError> {
         let (ckpt, _path, corrupt_skipped) = Checkpoint::latest_in_dir(dir)?;
         let state = self.restored_state(data, selector, ckpt, corrupt_skipped)?;
-        Ok(RoundLoop::new(
-            self, model, data, val, test, selector, state,
+        let parked = SuspendedLoop::between_rounds(state);
+        Ok(RoundLoop::from_suspended(
+            self, model, data, val, test, selector, parked,
         ))
     }
 
     /// Validate a checkpoint against the config, replay its label
     /// patches and telemetry, restore the selector, and rebuild the loop
-    /// state — the shared prologue of every resume entry point.
+    /// state.
     fn restored_state(
         &self,
         data: &mut dyn DatasetStore,
@@ -581,40 +470,6 @@ impl Pipeline {
         ModelConstructor::new(self.cfg.constructor, self.cfg.sgd)
             .with_warm_start(self.cfg.warm_start)
             .with_telemetry(self.cfg.telemetry.clone())
-    }
-
-    /// The synchronous annotation driver, shared by [`Self::run`] and
-    /// [`Self::resume`]: answers every batch the [`RoundLoop`] yields
-    /// with the in-process simulated panel (or the injected whole-batch
-    /// timeout), immediately. All loop mechanics live in the state
-    /// machine itself.
-    fn drive_sync(&self, mut rl: RoundLoop<'_>) -> StorePipelineReport {
-        let annotator = AnnotationPhase::new(self.cfg.annotation);
-        loop {
-            match rl.next_batch() {
-                RoundStep::Done => return rl.finish(),
-                RoundStep::Awaiting(batch) => {
-                    let annotate_start = Instant::now();
-                    let (outcomes, ann_stats) = if self.annotators_time_out(batch.round) {
-                        // Injected timeout: the whole batch abstains —
-                        // labels stay probabilistic, budget slots are
-                        // still consumed.
-                        (
-                            vec![AnnotationOutcome::Ambiguous; batch.items.len()],
-                            AnnotationStats {
-                                requested: batch.items.len(),
-                                abstains: batch.items.len(),
-                                ..AnnotationStats::default()
-                            },
-                        )
-                    } else {
-                        let _span = self.cfg.telemetry.span("round.annotate");
-                        annotator.decide_batch(&batch)
-                    };
-                    rl.provide(&outcomes, ann_stats, annotate_start.elapsed());
-                }
-            }
-        }
     }
 
     /// Snapshot the loop state as a [`Checkpoint`]. Label patches cover
@@ -694,12 +549,12 @@ impl Pipeline {
     }
 
     #[cfg(feature = "fault-inject")]
-    fn annotators_time_out(&self, round: usize) -> bool {
+    pub(crate) fn annotators_time_out(&self, round: usize) -> bool {
         self.cfg.faults.annotators_time_out(round)
     }
 
     #[cfg(not(feature = "fault-inject"))]
-    fn annotators_time_out(&self, _round: usize) -> bool {
+    pub(crate) fn annotators_time_out(&self, _round: usize) -> bool {
         false
     }
 

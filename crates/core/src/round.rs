@@ -10,15 +10,15 @@
 //! runs the model-constructor, evaluation, telemetry and checkpoint
 //! phases.
 //!
-//! The synchronous [`Pipeline::run`] / [`Pipeline::resume`] API is
-//! reimplemented *on top of* this machine — one code path — so a caller
-//! that answers every batch with
-//! [`AnnotationPhase::decide_batch`](crate::annotation::AnnotationPhase::decide_batch)
-//! outcomes reproduces the blocking loop bit-for-bit. That equivalence is
-//! what lets `chef-serve` interleave many jobs, deliver replies out of
-//! order, and still assert its final reports against `Pipeline::run`.
+//! The synchronous [`RoundLoop::run_sync`] (and [`Pipeline::run`] on top
+//! of it) is one more caller of this machine — one code path — so a
+//! caller that answers every batch with
+//! [`AnnotationPhase::decide_batch`] outcomes reproduces the blocking
+//! loop bit-for-bit. That equivalence is what lets `chef-serve`
+//! interleave many jobs, deliver replies out of order, and still assert
+//! its final reports against `Pipeline::run`.
 
-use crate::annotation::{AnnotationOutcome, AnnotationStats};
+use crate::annotation::{AnnotationOutcome, AnnotationPhase, AnnotationStats};
 use crate::constructor::{ConstructorKind, ModelConstructor};
 use crate::metrics::evaluate_f1;
 use crate::pipeline::{record_round_counters, Pipeline, RoundReport, StorePipelineReport};
@@ -81,7 +81,7 @@ pub enum RoundStep {
 
 /// Everything the cleaning loop carries across rounds — by construction,
 /// exactly the state a [`crate::Checkpoint`] must persist for
-/// [`Pipeline::resume`] to continue bit-identically.
+/// [`Pipeline::resume_round_loop_latest`] to continue bit-identically.
 pub(crate) struct LoopState {
     pub(crate) w_raw: Vec<f64>,
     pub(crate) w_eval: Vec<f64>,
@@ -109,7 +109,7 @@ struct PendingRound {
 
 /// A [`RoundLoop`] detached from its borrowed resources: plain owned
 /// data (`Send`), movable between threads, reattachable with
-/// [`Pipeline::reattach_round_loop`].
+/// [`RoundLoop::from_suspended`].
 ///
 /// This is what makes a cleaning job a *cooperatively schedulable*
 /// state machine: `chef-serve`'s pooled scheduler suspends a job at its
@@ -118,7 +118,7 @@ struct PendingRound {
 /// job up next. Suspension is lossless — the loop's cross-round state,
 /// any outstanding batch's parked select-phase output, and the
 /// interrupt flag all travel along — and the constructor is rebuilt at
-/// reattach exactly as [`Pipeline::resume`] rebuilds it, which is
+/// reattach exactly as a checkpoint resume rebuilds it, which is
 /// stateless (`ModelConstructor::update` is `&self`; all cross-round
 /// training state lives in the traveling loop state), so a
 /// suspended-and-reattached run is bit-identical to an uninterrupted
@@ -130,6 +130,16 @@ pub struct SuspendedLoop {
 }
 
 impl SuspendedLoop {
+    /// A loop parked between rounds: no batch outstanding, not
+    /// interrupted. Fresh and checkpoint-resumed loops start here.
+    pub(crate) fn between_rounds(state: LoopState) -> Self {
+        Self {
+            state,
+            pending: None,
+            interrupted: false,
+        }
+    }
+
     /// 0-based index of the next round to run.
     pub fn round(&self) -> usize {
         self.state.round
@@ -142,8 +152,9 @@ impl SuspendedLoop {
 }
 
 /// The cleaning loop with the annotation phase factored out; see the
-/// module docs. Obtained from [`Pipeline::round_loop`] or
-/// [`Pipeline::resume_round_loop_latest`].
+/// module docs. Obtained from [`Pipeline::round_loop`],
+/// [`Pipeline::resume_round_loop_latest`] or
+/// [`RoundLoop::from_suspended`].
 pub struct RoundLoop<'a> {
     pipeline: &'a Pipeline,
     ctor: ModelConstructor,
@@ -158,31 +169,14 @@ pub struct RoundLoop<'a> {
 }
 
 impl<'a> RoundLoop<'a> {
-    pub(crate) fn new(
-        pipeline: &'a Pipeline,
-        model: &'a dyn Model,
-        data: &'a mut dyn DatasetStore,
-        val: &'a dyn DatasetStore,
-        test: &'a dyn DatasetStore,
-        selector: &'a mut dyn SampleSelector,
-        state: LoopState,
-    ) -> Self {
-        let ctor = pipeline.constructor();
-        Self {
-            pipeline,
-            ctor,
-            model,
-            data,
-            val,
-            test,
-            selector,
-            state,
-            pending: None,
-            interrupted: false,
-        }
-    }
-
-    pub(crate) fn from_suspended(
+    /// Reattach a [`SuspendedLoop`] to its resources and continue it as
+    /// a live loop — the other half of [`Self::suspend`]. The borrows
+    /// must be the same logical resources the loop was suspended from
+    /// (same training store contents, same model, same selector
+    /// instance); the constructor is rebuilt fresh, which is
+    /// bit-identical because it is stateless across rounds (the
+    /// checkpoint resume path relies on this too).
+    pub fn from_suspended(
         pipeline: &'a Pipeline,
         model: &'a dyn Model,
         data: &'a mut dyn DatasetStore,
@@ -216,6 +210,43 @@ impl<'a> RoundLoop<'a> {
             state: self.state,
             pending: self.pending,
             interrupted: self.interrupted,
+        }
+    }
+
+    /// Drive the loop to the end synchronously: answer every batch at
+    /// once with the in-process simulated panel of the pipeline's
+    /// [`AnnotationConfig`](crate::AnnotationConfig) — or, under the
+    /// `fault-inject` feature, with the injected whole-batch timeout —
+    /// then [`Self::finish`]. This is [`Pipeline::run`]'s loop and the
+    /// way to run an out-of-core store or a resumed checkpoint to
+    /// completion.
+    pub fn run_sync(mut self) -> StorePipelineReport {
+        let cfg = self.pipeline.config();
+        let annotator = AnnotationPhase::new(cfg.annotation);
+        loop {
+            match self.next_batch() {
+                RoundStep::Done => return self.finish(),
+                RoundStep::Awaiting(batch) => {
+                    let annotate_start = Instant::now();
+                    let (outcomes, ann_stats) = if self.pipeline.annotators_time_out(batch.round) {
+                        // Injected timeout: the whole batch abstains —
+                        // labels stay probabilistic, budget slots are
+                        // still consumed.
+                        (
+                            vec![AnnotationOutcome::Ambiguous; batch.items.len()],
+                            AnnotationStats {
+                                requested: batch.items.len(),
+                                abstains: batch.items.len(),
+                                ..AnnotationStats::default()
+                            },
+                        )
+                    } else {
+                        let _span = cfg.telemetry.span("round.annotate");
+                        annotator.decide_batch(&batch)
+                    };
+                    self.provide(&outcomes, ann_stats, annotate_start.elapsed());
+                }
+            }
         }
     }
 

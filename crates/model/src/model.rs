@@ -120,11 +120,10 @@ pub trait Model: Send + Sync {
         KernelPath::PerSample
     }
 
-    /// Which precision/ILP backend the model's GEMM panels run on.
-    /// Purely informational (telemetry): only meaningful when
-    /// [`Model::scoring_kernel`] is [`KernelPath::Gemm`] — the
-    /// per-sample fallback has no panel kernel to select, so the default
-    /// reports [`KernelBackend::Reference`].
+    /// Which panel-kernel family the model's GEMM panels run on. Purely
+    /// informational (telemetry), and only meaningful when
+    /// [`Model::scoring_kernel`] is [`KernelPath::Gemm`]. There is one
+    /// family, so every model reports [`KernelBackend::Reference`].
     fn kernel_backend(&self) -> KernelBackend {
         KernelBackend::Reference
     }

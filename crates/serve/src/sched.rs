@@ -34,8 +34,8 @@ use crate::annotator::{AnnotationRequest, AnnotatorHost, HostDelivery, JobId, Sa
 use crate::events::EventKind;
 use crate::job::{JobInner, JobRequest, JobResult, JobShared, JobState, ServeError};
 use chef_core::{
-    AnnotationConfig, AnnotationOutcome, AnnotationStats, Pipeline, RoundStep, SampleDecision,
-    SampleSelector, SuspendedLoop, Telemetry,
+    AnnotationConfig, AnnotationOutcome, AnnotationStats, Pipeline, RoundLoop, RoundStep,
+    SampleDecision, SampleSelector, SuspendedLoop, Telemetry,
 };
 use chef_model::{Dataset, Model};
 use std::collections::{HashMap, VecDeque};
@@ -718,7 +718,8 @@ impl JobTask {
         }
         let train = self.train.as_mut().expect("train present until finished");
         let mut rl = match self.suspended.take() {
-            Some(s) => self.pipeline.reattach_round_loop(
+            Some(s) => RoundLoop::from_suspended(
+                &self.pipeline,
                 &*self.model,
                 train,
                 &self.val,

@@ -203,9 +203,13 @@ fn check_replay_equivalence(
     let mut cfg = base_config(&dir_int, faults_common.clone(), tel_res.clone());
     cfg.constructor = ctor;
     let mut sel = selector(incremental);
-    let resumed = Pipeline::new(cfg)
-        .resume_latest(&model, train.clone(), &val, &test, &mut sel, &dir_int)
-        .expect("resume_latest");
+    let pipeline = Pipeline::new(cfg);
+    let mut data = train.clone();
+    let resumed = pipeline
+        .resume_round_loop_latest(&model, &mut data, &val, &test, &mut sel, &dir_int)
+        .expect("resume_round_loop_latest")
+        .run_sync()
+        .into_report(data);
     assert!(!resumed.interrupted);
 
     assert_same_outcome(&reference, &resumed);
@@ -359,7 +363,7 @@ fn bit_flipped_checkpoint_falls_back_a_generation() {
 
 #[test]
 fn resume_with_mismatched_seed_is_rejected() {
-    let (model, train, val, test) = fixture(1);
+    let (model, mut train, val, test) = fixture(1);
     let dir = scratch("mismatch");
     let cfg = base_config(&dir, FaultPlan::crash_after(1), Telemetry::disabled());
     let mut sel = InflSelector::full();
@@ -369,8 +373,9 @@ fn resume_with_mismatched_seed_is_rejected() {
     cfg.annotation.seed = 999; // a different annotator RNG stream
     let mut sel = InflSelector::full();
     let err = Pipeline::new(cfg)
-        .resume_latest(&model, train, &val, &test, &mut sel, &dir)
-        .unwrap_err();
+        .resume_round_loop_latest(&model, &mut train, &val, &test, &mut sel, &dir)
+        .err()
+        .expect("resume with a mismatched seed must fail");
     assert!(
         matches!(err, CheckpointError::Mismatch(_)),
         "expected Mismatch, got {err:?}"
@@ -380,14 +385,15 @@ fn resume_with_mismatched_seed_is_rejected() {
 
 #[test]
 fn resume_from_empty_directory_is_a_clear_error() {
-    let (model, train, val, test) = fixture(1);
+    let (model, mut train, val, test) = fixture(1);
     let dir = scratch("empty");
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = base_config(&dir, FaultPlan::default(), Telemetry::disabled());
     let mut sel = InflSelector::full();
     let err = Pipeline::new(cfg)
-        .resume_latest(&model, train, &val, &test, &mut sel, &dir)
-        .unwrap_err();
+        .resume_round_loop_latest(&model, &mut train, &val, &test, &mut sel, &dir)
+        .err()
+        .expect("resume from an empty directory must fail");
     assert!(
         matches!(err, CheckpointError::NoCheckpoint(_)),
         "expected NoCheckpoint, got {err:?}"

@@ -107,7 +107,9 @@ fn run_on_store(
     random_probabilistic_labels(&mut store, WEAKEN_SEED);
     let model = LogisticRegression::new(store.dim(), store.num_classes());
     let mut sel = selector(incremental);
-    Pipeline::new(config(ctor)).run_store(&model, &mut store, val, test, &mut sel)
+    Pipeline::new(config(ctor))
+        .round_loop(&model, &mut store, val, test, &mut sel)
+        .run_sync()
 }
 
 /// Run the pipeline on the same data materialized in memory.
@@ -122,7 +124,9 @@ fn run_in_memory(
     random_probabilistic_labels(&mut data, WEAKEN_SEED);
     let model = LogisticRegression::new(data.dim(), data.num_classes());
     let mut sel = selector(incremental);
-    Pipeline::new(config(ctor)).run_store(&model, &mut data, val, test, &mut sel)
+    Pipeline::new(config(ctor))
+        .round_loop(&model, &mut data, val, test, &mut sel)
+        .run_sync()
 }
 
 fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
@@ -359,7 +363,8 @@ mod fault_inject {
         random_probabilistic_labels(&mut store, WEAKEN_SEED);
         let mut sel = selector(false);
         let reference = with_ck(&ck_ref, FaultPlan::default())
-            .run_store(&model, &mut store, &val, &test, &mut sel);
+            .round_loop(&model, &mut store, &val, &test, &mut sel)
+            .run_sync();
         assert!(!reference.interrupted);
 
         // Interrupted: crash after round 0, checkpoint survives.
@@ -367,7 +372,8 @@ mod fault_inject {
         random_probabilistic_labels(&mut store, WEAKEN_SEED);
         let mut sel = selector(false);
         let interrupted = with_ck(&ck_int, FaultPlan::crash_after(0))
-            .run_store(&model, &mut store, &val, &test, &mut sel);
+            .round_loop(&model, &mut store, &val, &test, &mut sel)
+            .run_sync();
         assert!(interrupted.interrupted);
 
         // Resume on a freshly opened store, as a restarted process
@@ -377,8 +383,9 @@ mod fault_inject {
         random_probabilistic_labels(&mut store, WEAKEN_SEED);
         let mut sel = selector(false);
         let resumed = with_ck(&ck_int, FaultPlan::default())
-            .resume_latest_store(&model, &mut store, &val, &test, &mut sel, &ck_int)
-            .expect("resume_latest_store");
+            .resume_round_loop_latest(&model, &mut store, &val, &test, &mut sel, &ck_int)
+            .expect("resume_round_loop_latest")
+            .run_sync();
         assert!(!resumed.interrupted);
 
         assert_bits_eq(&reference.final_w, &resumed.final_w, "final_w");

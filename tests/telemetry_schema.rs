@@ -234,3 +234,34 @@ fn disabled_handle_records_nothing() {
     let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&on.final_w), bits(&report.final_w), "final_w bits");
 }
+
+#[test]
+fn logreg_rounds_report_the_reference_gemm_backend() {
+    // Pins what a pipeline run writes into `kernel_backend`: both GEMM
+    // phases of every round name the one panel family, "reference".
+    let mut rng = SmallRng::seed_from_u64(13);
+    let train = make(N_TRAIN, true, &mut rng);
+    let val = make(40, false, &mut rng);
+    let model = LogisticRegression::new(2, NUM_CLASSES);
+    let telemetry = Telemetry::enabled();
+    let mut cfg = config(telemetry.clone());
+    cfg.budget = 10;
+    let mut selector = InflSelector::full();
+    let report = Pipeline::new(cfg).run(&model, train, &val, &val, &mut selector);
+
+    assert_eq!(report.rounds.len(), 2, "budget 10 / round 5 = 2 rounds");
+    for r in &report.rounds {
+        let (sel, ctor) = (&r.telemetry.selector, &r.telemetry.constructor);
+        let round = r.telemetry.round;
+        assert_eq!(sel.kernel_path, "gemm", "round {round}: selector path");
+        assert_eq!(sel.kernel_backend, "reference", "round {round}: selector");
+        assert_eq!(ctor.kernel_path, "gemm", "round {round}: constructor path");
+        assert_eq!(ctor.kernel_backend, "reference", "round {round}: ctor");
+    }
+    let json = telemetry.export_json("pipeline").expect("enabled export");
+    assert_eq!(
+        json.matches("\"kernel_backend\":\"reference\"").count(),
+        2 * report.rounds.len(),
+        "one selector and one constructor entry per round:\n{json}"
+    );
+}
