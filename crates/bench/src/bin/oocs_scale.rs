@@ -33,7 +33,8 @@
 //! §15 and EXPERIMENTS.md (`oocs_scale`).
 //!
 //! Usage: `cargo run --release -p chef-bench --bin oocs_scale`
-//! (`--quick` for a 50k-only CI smoke with no JSON output, `--integrity
+//! (`--quick` for a 50k-only CI smoke with no JSON output, run behind a
+//! 4-chunk residency window so the 7-chunk store evicts, `--integrity
 //! eager|lazy` to pick the quick smoke's mmap mode, `--force-pread` to
 //! smoke the positional-read fallback, `--sizes a,b,c` to override the
 //! size list, `--no-ten-m` to skip the n=10M attempt, `--dir PATH` for
@@ -71,6 +72,15 @@ const SEED: u64 = 1;
 const DIM: usize = 32;
 const CHUNK_ROWS: usize = 8192;
 const RESIDENCY_CHUNKS: usize = 32;
+/// Window of the `--quick` lanes: below the 50k store's 7 chunks, so a
+/// quick smoke exercises eviction and the unit-ordered gather, not only
+/// a window that holds the whole store.
+const QUICK_RESIDENCY_CHUNKS: usize = 4;
+/// At n ≥ 1M, lazy integrity (with or without the prefetch thread) may
+/// peak at most this factor above the eager mmap run: verification
+/// reads through the mapping, so a verify path outside the residency
+/// window shows up here first.
+const LAZY_RSS_SLACK: f64 = 1.1;
 /// One cleaning round: budget == round_size.
 const ROUND: usize = 16;
 
@@ -178,9 +188,10 @@ fn store_opts(
     integrity: IntegrityMode,
     background_prefetch: bool,
     force_pread: bool,
+    residency_chunks: usize,
 ) -> StoreOptions {
     StoreOptions {
-        residency_chunks: RESIDENCY_CHUNKS,
+        residency_chunks,
         force_pread,
         integrity,
         background_prefetch,
@@ -212,8 +223,8 @@ fn run_cold_probe(train_dir: &Path, n: usize, integrity: IntegrityMode, mode: &s
     let candidates: Vec<usize> = (0..COLD_PROBE_ROWS.min(n)).collect();
 
     let t0 = Instant::now();
-    let store =
-        MmapStore::open_with(train_dir, store_opts(integrity, false, false)).expect("open store");
+    let opts = store_opts(integrity, false, false, RESIDENCY_CHUNKS);
+    let store = MmapStore::open_with(train_dir, opts).expect("open store");
     let open_s = t0.elapsed().as_secs_f64();
     let scores = rank_infl_with_vector(&model, &store, &w, &v, &candidates, 0.2);
     let cold_s = t0.elapsed().as_secs_f64();
@@ -243,6 +254,7 @@ fn run_child(args: &[String]) {
         .expect("child needs --mode")
         .clone();
     let force_pread = args.iter().any(|a| a == "--force-pread");
+    let window: usize = chef_bench::arg_value(args, "--residency-chunks", RESIDENCY_CHUNKS);
     let root = PathBuf::from(
         args.iter()
             .position(|a| a == "--dir")
@@ -275,9 +287,9 @@ fn run_child(args: &[String]) {
     // eagerly too — the pre-§15 configuration verified everything
     // before materializing.
     let mmap_opts = match mode.as_str() {
-        "memory" | "mmap-eager" => store_opts(IntegrityMode::Eager, true, force_pread),
-        "mmap-lazy" => store_opts(IntegrityMode::LazyFirstTouch, true, force_pread),
-        "mmap-lazy-nopf" => store_opts(IntegrityMode::LazyFirstTouch, false, force_pread),
+        "memory" | "mmap-eager" => store_opts(IntegrityMode::Eager, true, force_pread, window),
+        "mmap-lazy" => store_opts(IntegrityMode::LazyFirstTouch, true, force_pread, window),
+        "mmap-lazy-nopf" => store_opts(IntegrityMode::LazyFirstTouch, false, force_pread, window),
         other => panic!("unknown --mode {other:?}"),
     };
 
@@ -329,6 +341,8 @@ fn run_child(args: &[String]) {
         w.field_u64("blocks_verified", io.blocks_verified);
         w.field_u64("lazy_verify_hits", io.lazy_verify_hits);
         w.field_u64("prefetch_overlap_ms", io.prefetch_overlap_ms);
+        w.field_u64("window_entries", io.window_entries);
+        w.field_u64("window_releases", io.window_releases);
     }
     w.field_str("fingerprint", &fingerprint(&report));
     w.end_object();
@@ -509,38 +523,53 @@ fn main() {
                 .join("target")
                 .join(format!("oocs_scale-{}", std::process::id()))
         });
+    let window = if quick {
+        QUICK_RESIDENCY_CHUNKS
+    } else {
+        RESIDENCY_CHUNKS
+    };
     println!(
-        "oocs_scale: sizes={sizes:?} dim={DIM} chunk_rows={CHUNK_ROWS} residency_chunks={RESIDENCY_CHUNKS} scratch={}",
+        "oocs_scale: sizes={sizes:?} dim={DIM} chunk_rows={CHUNK_ROWS} residency_chunks={window} scratch={}",
         root.display()
     );
 
     if quick {
         // CI smoke: memory vs one mmap configuration (picked by
-        // --integrity / --force-pread), fingerprints asserted, plus the
-        // cold-open lane under lazy so the first-touch path runs.
+        // --integrity / --force-pread) behind a window smaller than the
+        // store, fingerprints asserted, plus the cold-open lane under
+        // lazy so the first-touch path runs.
         let mmap_mode = match integrity_lane.as_str() {
             "lazy" => "mmap-lazy",
             "eager" => "mmap-eager",
             other => panic!("--integrity must be eager or lazy, got {other:?}"),
         };
-        let extra: Vec<&str> = if force_pread {
-            vec!["--force-pread"]
-        } else {
-            vec![]
-        };
+        let window_arg = window.to_string();
+        let window_args = ["--residency-chunks", window_arg.as_str()];
+        let mut extra = window_args.to_vec();
+        if force_pread {
+            extra.push("--force-pread");
+        }
         for &n in &sizes {
             generate_stores(n, &root);
-            let memory = spawn_child(n, "memory", &root, &[]);
+            let memory = spawn_child(n, "memory", &root, &window_args);
             let mmap = spawn_child(n, mmap_mode, &root, &extra);
             assert_eq!(
                 field_str(&memory, "fingerprint"),
                 field_str(&mmap, "fingerprint"),
                 "n={n}: memory and {mmap_mode} runs diverged"
             );
+            let releases = field_u64(&mmap, "window_releases");
+            assert!(
+                releases > 0,
+                "n={n}: the {window}-chunk window never evicted"
+            );
             if !force_pread {
                 run_cold_lane(n, &root);
             }
-            println!("n={n}: quick smoke ok ({mmap_mode}, force_pread={force_pread})");
+            println!(
+                "n={n}: quick smoke ok ({mmap_mode}, force_pread={force_pread}, {} window entries, {releases} releases)",
+                field_u64(&mmap, "window_entries")
+            );
             cleanup_stores(n, &root);
         }
         if root.exists() {
@@ -573,6 +602,18 @@ fn main() {
             field_u64(&memory, "peak_rss_bytes"),
             field_u64(&mmap_lazy, "peak_rss_bytes"),
         );
+        if n >= 1_000_000 {
+            let rss_eager = field_u64(&mmap_eager, "peak_rss_bytes");
+            for (name, frag) in [("mmap-lazy", &mmap_lazy), ("mmap-lazy-nopf", &mmap_nopf)] {
+                let rss = field_u64(frag, "peak_rss_bytes");
+                assert!(
+                    rss as f64 <= LAZY_RSS_SLACK * rss_eager as f64,
+                    "n={n}: {name} peaks at {} MB, above {LAZY_RSS_SLACK}x mmap-eager's {} MB",
+                    rss / (1 << 20),
+                    rss_eager / (1 << 20)
+                );
+            }
+        }
         println!(
             "n={n}: all four fingerprints match ({fp}); peak RSS memory={} MB mmap-lazy={} MB ({:.2}x)",
             rss_mem / (1 << 20),

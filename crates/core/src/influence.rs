@@ -508,7 +508,6 @@ pub fn rank_infl_top_b_sharded<M: Model + ?Sized>(
             continue;
         }
         let (lo, hi) = (bounds[s], bounds[s + 1]);
-        data.prefetch_rows(bucket);
         // Hand the *next* populated shard to the store's background
         // verify-and-warm worker (a no-op for in-memory data or serial
         // builds) so its I/O overlaps this shard's scoring.

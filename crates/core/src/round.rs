@@ -550,15 +550,17 @@ impl<'a> RoundLoop<'a> {
     /// a cancelled serve job returns.
     pub fn finish(self) -> StorePipelineReport {
         let tel = &self.pipeline.config().telemetry;
-        // Store-integrity counters (additive-optional: in-memory
-        // datasets report no io_stats, so existing telemetry exports
-        // are byte-identical). Monotonic store-lifetime totals, set
-        // once at end-of-run.
+        // Store-integrity and residency-window counters
+        // (additive-optional: in-memory datasets report no io_stats, so
+        // existing telemetry exports are byte-identical). Monotonic
+        // store-lifetime totals, set once at end-of-run.
         if let Some(io) = self.data.io_stats() {
             tel.add("store.verify_ms", io.verify_ms);
             tel.add("store.blocks_verified", io.blocks_verified);
             tel.add("store.lazy_verify_hits", io.lazy_verify_hits);
             tel.add("store.prefetch_overlap_ms", io.prefetch_overlap_ms);
+            tel.add("store.window_entries", io.window_entries);
+            tel.add("store.window_releases", io.window_releases);
         }
 
         StorePipelineReport {

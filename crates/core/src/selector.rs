@@ -71,10 +71,10 @@ pub struct SelectorStats {
     /// `"gemm"` for the batched closed form, `"per_sample"` for the
     /// generic fallback; empty when the selector doesn't report one).
     pub kernel_path: &'static str,
-    /// Which precision/ILP backend the GEMM panels ran on
-    /// ([`chef_linalg::KernelBackend::name`]: `"reference"`,
-    /// `"unrolled_f64"` or `"mixed_f32"`; empty when the kernel path is
-    /// not `"gemm"` — the per-sample fallback has no panel kernel).
+    /// Which panel-kernel backend the GEMM panels ran on
+    /// ([`chef_linalg::KernelBackend::name`]: always `"reference"`;
+    /// empty when the kernel path is not `"gemm"` — the per-sample
+    /// fallback has no panel kernel).
     pub kernel_backend: &'static str,
     /// CG iterations the warm start saved this round, estimated against
     /// the selector's most recent *cold* solve (0 on cold rounds and

@@ -21,12 +21,13 @@
 //!   in memory — so a store larger than RAM can be written.
 //! * [`MmapStore`] opens a store read-only. Feature chunks are
 //!   memory-mapped (`MAP_SHARED`, via the offline `memmap` shim) so the
-//!   kernel's page cache owns residency; the [`DatasetStore`] hint
-//!   methods translate to `madvise` and a bounded window of
-//!   recently-hinted chunks is kept resident (older chunks are released
-//!   with `MADV_DONTNEED`). When `mmap` itself is unavailable the store
-//!   falls back to positional reads (`pread`) that load chunks into
-//!   owned buffers — a correctness fallback, not memory-bounded.
+//!   kernel's page cache owns residency; reads and the [`DatasetStore`]
+//!   hint methods drive a bounded window of resident chunks, advised
+//!   `MADV_WILLNEED` when they enter it and released with
+//!   `MADV_DONTNEED` when they leave (DESIGN.md §15.3). When `mmap`
+//!   itself is unavailable the store falls back to positional reads
+//!   (`pread`) that load chunks into owned buffers — a correctness
+//!   fallback, not memory-bounded.
 //! * Labels, clean flags and ground truth are deliberately
 //!   **RAM-resident** (they are O(n), not O(n·d), and the cleaning loop
 //!   mutates them every round). Label mutations are in-memory only:
@@ -51,7 +52,7 @@
 //!   set). O(dataset bytes) before the first row is served.
 //! * [`LazyFirstTouch`](IntegrityMode::LazyFirstTouch) — defer to the
 //!   access path: each block is verified exactly once, on first touch
-//!   (`feature` / `feature_rows` / `prefetch_rows`), tracked by a
+//!   (`feature` / `feature_rows`), tracked by a
 //!   per-shard atomic bitmap. Cold-open cost becomes O(touched bytes),
 //!   which is what makes the first scored block arrive fast at n=10M.
 //!   Corruption discovered on the access path poisons the store and
@@ -693,9 +694,10 @@ pub enum IntegrityMode {
 /// How an [`MmapStore`] opens its shards.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Maximum number of chunks the residency window keeps hinted
-    /// resident at once; older chunks are released with
-    /// `MADV_DONTNEED` as new ones are hinted. `0` disables eviction.
+    /// Maximum number of chunks the residency window keeps resident at
+    /// once; when it is full, an entering chunk replaces the most
+    /// recently used one, which is released with `MADV_DONTNEED`. `0`
+    /// disables eviction.
     pub residency_chunks: usize,
     /// Skip `mmap` and use the `pread` fallback (loads every chunk
     /// into an owned buffer — correctness fallback, not memory-bounded).
@@ -766,9 +768,9 @@ pub struct MmapStore {
 struct StoreCore {
     manifest: Manifest,
     data: Vec<ChunkData>,
-    // Queue of chunk indices currently hinted resident, oldest first.
-    // A Mutex (not RwLock) because every operation mutates the queue;
-    // contention is per-chunk-transition, not per-row.
+    // Queue of chunk indices in the residency window, least recently
+    // used first. A Mutex (not RwLock) because every operation mutates
+    // the queue; contention is per-chunk-transition, not per-row.
     resident: Mutex<VecDeque<usize>>,
     // Last chunk this store noted an access to — a lock-free dedup so
     // the per-read residency tracking costs one atomic load on the
@@ -804,6 +806,8 @@ struct IoCounters {
     blocks_verified: AtomicU64,
     lazy_verify_hits: AtomicU64,
     prefetch_overlap_ns: AtomicU64,
+    window_entries: AtomicU64,
+    window_releases: AtomicU64,
 }
 
 impl IoCounters {
@@ -813,6 +817,8 @@ impl IoCounters {
             blocks_verified: self.blocks_verified.load(Ordering::Relaxed),
             lazy_verify_hits: self.lazy_verify_hits.load(Ordering::Relaxed),
             prefetch_overlap_ms: self.prefetch_overlap_ns.load(Ordering::Relaxed) / 1_000_000,
+            window_entries: self.window_entries.load(Ordering::Relaxed),
+            window_releases: self.window_releases.load(Ordering::Relaxed),
         }
     }
 }
@@ -1187,40 +1193,66 @@ impl StoreCore {
         Ok(())
     }
 
-    /// Hint the given chunks resident and evict the oldest hinted
-    /// chunks beyond the residency budget.
+    /// Move the given chunks into the residency window, most recently
+    /// used last. A chunk already in the window only moves to the back
+    /// of the queue — no syscall. A chunk entering it is advised
+    /// `WILLNEED`; when the window is full it takes the slot of the most
+    /// recently used chunk, which is released with `DONTNEED`. So R − 1
+    /// chunks stay resident while a scan wider than the window streams
+    /// through the last slot, and a cyclic pass over N > R chunks
+    /// re-enters N − R + 1 of them instead of all N (LRU's worst case).
     fn touch_chunks(&self, chunks: impl Iterator<Item = usize>) {
-        let mut q = self.resident.lock().unwrap();
+        use std::sync::atomic::Ordering::Relaxed;
+        let mut q = self
+            .resident
+            .lock()
+            .expect("residency window lock poisoned");
         for c in chunks {
+            if let Some(pos) = q.iter().position(|&x| x == c) {
+                q.remove(pos);
+                q.push_back(c);
+                continue;
+            }
+            if self.residency_chunks > 0 && q.len() >= self.residency_chunks {
+                let mru = q.pop_back().expect("a full window is non-empty");
+                self.release(mru);
+                // The victim's next read must re-enter the window, which
+                // the last-touched shortcut would otherwise skip.
+                let _ = self
+                    .last_touched
+                    .compare_exchange(mru, usize::MAX, Relaxed, Relaxed);
+            }
             if let ChunkData::Mapped(m) = &self.data[c] {
                 m.advise_willneed(0, m.len());
             }
-            if let Some(pos) = q.iter().position(|&x| x == c) {
-                q.remove(pos); // re-touch: move to the back of the window
-            }
+            self.stats.window_entries.fetch_add(1, Relaxed);
             q.push_back(c);
-            if self.residency_chunks > 0 {
-                while q.len() > self.residency_chunks {
-                    let old = q.pop_front().unwrap();
-                    if let ChunkData::Mapped(m) = &self.data[old] {
-                        m.advise_dontneed(0, m.len());
-                    }
-                }
-            }
         }
     }
 
     /// Release the given chunks (and forget them from the window).
     fn release_chunks(&self, chunks: impl Iterator<Item = usize>) {
-        let mut q = self.resident.lock().unwrap();
+        let mut q = self
+            .resident
+            .lock()
+            .expect("residency window lock poisoned");
         for c in chunks {
-            if let ChunkData::Mapped(m) = &self.data[c] {
-                m.advise_dontneed(0, m.len());
-            }
+            self.release(c);
             if let Some(pos) = q.iter().position(|&x| x == c) {
                 q.remove(pos);
             }
         }
+        // A released chunk must re-enter the window on its next read,
+        // which the last-touched shortcut would otherwise skip.
+        self.last_touched.store(usize::MAX, Ordering::Relaxed);
+    }
+
+    /// Drop chunk `c`'s pages (`DONTNEED`); the caller keeps the window.
+    fn release(&self, c: usize) {
+        if let ChunkData::Mapped(m) = &self.data[c] {
+            m.advise_dontneed(0, m.len());
+        }
+        self.stats.window_releases.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Note a read landing in chunk `c`, keeping the residency window
@@ -1238,14 +1270,6 @@ impl StoreCore {
         }
         self.last_touched.store(c, Relaxed);
         self.touch_chunks(std::iter::once(c));
-    }
-
-    /// Deduplicated chunk indices touched by `rows`.
-    fn chunks_of_rows(&self, rows: &[usize]) -> Vec<usize> {
-        let mut cs: Vec<usize> = rows.iter().map(|&i| self.chunk_of(i)).collect();
-        cs.sort_unstable();
-        cs.dedup();
-        cs
     }
 }
 
@@ -1334,23 +1358,6 @@ impl DatasetStore for MmapStore {
 
     fn mark_uncleaned(&mut self, i: usize) {
         self.clean[i] = false;
-    }
-
-    fn prefetch_rows(&self, rows: &[usize]) {
-        // prefetch_rows is an access path: the caller is about to read
-        // these rows, so first-touch verification happens here (and the
-        // later reads hit the bitmap).
-        let core = &*self.core;
-        let d8 = core.manifest.dim * 8;
-        let rows_per = core.manifest.chunk_rows;
-        for i in rows {
-            let c = core.chunk_of(*i);
-            let r = i - c * rows_per;
-            if let Err(e) = core.ensure_bytes_verified(c, r * d8, (r + 1) * d8) {
-                panic!("{e}");
-            }
-        }
-        core.touch_chunks(core.chunks_of_rows(rows).into_iter());
     }
 
     fn advise_range(&self, lo: usize, hi: usize) {
@@ -1528,13 +1535,123 @@ mod tests {
             },
         )
         .unwrap();
-        store.prefetch_rows(&[0, 9, 17, 25, 33]);
         store.advise_range(0, 40);
         for i in 0..40 {
             assert_eq!(store.feature(i), data.feature(i));
         }
         store.advise_scanned(0, 40);
         assert_eq!(store.feature(39), data.feature(39)); // still readable
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store of `chunks` four-row shards behind a `window`-chunk
+    /// residency window.
+    fn window_store(tag: &str, chunks: usize, window: usize) -> (PathBuf, Dataset, MmapStore) {
+        let dir = tmp_dir(tag);
+        let data = fixture(chunks * 4, 3);
+        write_store(&data, &dir, 4).unwrap();
+        let store = MmapStore::open_with(
+            &dir,
+            StoreOptions {
+                residency_chunks: window,
+                background_prefetch: false,
+                ..StoreOptions::default()
+            },
+        )
+        .unwrap();
+        (dir, data, store)
+    }
+
+    fn window_len(store: &MmapStore) -> usize {
+        store.core.resident.lock().unwrap().len()
+    }
+
+    #[test]
+    fn residency_window_never_holds_more_than_its_budget() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let (dir, data, store) = window_store("window-bound", 12, 4);
+        let mut rng = SmallRng::seed_from_u64(7);
+        for step in 0..2000 {
+            match rng.gen_range(0..3) {
+                0 => {
+                    let i = rng.gen_range(0..data.len());
+                    assert_eq!(store.feature(i), data.feature(i));
+                }
+                1 => {
+                    let lo = rng.gen_range(0..data.len());
+                    let hi = rng.gen_range(lo..store.contiguous_limit(lo)) + 1;
+                    assert_eq!(store.feature_rows(lo, hi), data.feature_rows(lo, hi));
+                }
+                _ => {
+                    let lo = rng.gen_range(0..data.len());
+                    store.advise_range(lo, rng.gen_range(lo..data.len()) + 1);
+                }
+            }
+            let io = store.io_stats().unwrap();
+            assert!(window_len(&store) <= 4, "step {step}");
+            assert_eq!(
+                (io.window_entries - io.window_releases) as usize,
+                window_len(&store),
+                "step {step}: every entry beyond the budget released one chunk"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rereading_a_resident_chunk_adds_no_entry() {
+        let (dir, data, store) = window_store("window-reread", 6, 3);
+        for i in 0..12 {
+            assert_eq!(store.feature(i), data.feature(i)); // chunks 0..3
+        }
+        let entered = store.io_stats().unwrap().window_entries;
+        assert_eq!(entered, 3);
+        for i in (0..12).rev().chain([5, 1, 9, 2, 10, 0]) {
+            assert_eq!(store.feature(i), data.feature(i));
+        }
+        assert_eq!(store.feature_rows(4, 8), data.feature_rows(4, 8));
+        store.advise_range(0, 12);
+        let io = store.io_stats().unwrap();
+        assert_eq!(io.window_entries, entered, "re-touches only reorder");
+        assert_eq!(io.window_releases, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cyclic_pass_reenters_at_most_n_minus_r_plus_one_chunks() {
+        let (chunks, window) = (10, 4);
+        let (dir, data, store) = window_store("window-cyclic", chunks, window);
+        let pass = || {
+            for i in 0..data.len() {
+                assert_eq!(store.feature(i), data.feature(i));
+            }
+            store.io_stats().unwrap().window_entries
+        };
+        let mut before = pass(); // the first pass fills the window
+        for p in 0..5 {
+            let after = pass();
+            assert!(
+                after - before <= (chunks - window + 1) as u64,
+                "pass {p} entered {} chunks",
+                after - before
+            );
+            before = after;
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_chunk_evicted_by_a_hint_reenters_on_its_next_read() {
+        let (dir, data, store) = window_store("window-evicted", 3, 2);
+        assert_eq!(store.feature(0), data.feature(0)); // chunk 0 enters
+        assert_eq!(store.feature(4), data.feature(4)); // chunk 1 enters
+        store.advise_range(8, 12); // chunk 2 takes chunk 1's slot
+        let io = store.io_stats().unwrap();
+        assert_eq!((io.window_entries, io.window_releases), (3, 1));
+        assert_eq!(store.feature(5), data.feature(5));
+        let io = store.io_stats().unwrap();
+        assert_eq!(io.window_entries, 4, "chunk 1 re-entered on its read");
+        assert_eq!(window_len(&store), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,11 +16,11 @@
 //!   and [`DatasetStore::set_label`] mutate them in place exactly like
 //!   [`Dataset`], so `checkpoint.v1` label-patch replay works against
 //!   any store.
-//! * **Residency hints** — [`DatasetStore::prefetch_rows`] and
+//! * **Residency hints** — [`DatasetStore::advise_range`] and
 //!   [`DatasetStore::advise_scanned`] are no-ops in memory and
-//!   `madvise` calls on the mmap store, letting streaming passes
-//!   (DeltaGrad-L minibatch replay, per-shard scoring sweeps) bound
-//!   their resident set.
+//!   `madvise` calls on the mmap store, letting per-shard scoring
+//!   sweeps bound their resident set. Row reads keep the mmap store's
+//!   residency window on their own, so minibatch loops issue no hint.
 //!
 //! Every former `&Dataset` parameter in the kernels, objective,
 //! influence functions, trainer and pipeline is now `&dyn DatasetStore`
@@ -79,6 +79,12 @@ pub struct StoreIoStats {
     /// warming upcoming windows — work overlapped with foreground
     /// compute rather than serialized into the scan.
     pub prefetch_overlap_ms: u64,
+    /// Chunks that entered the residency window (one `WILLNEED` each on
+    /// a mapped store); a re-touch of a resident chunk is not counted.
+    pub window_entries: u64,
+    /// Chunks dropped with `DONTNEED`, by window eviction or by
+    /// [`DatasetStore::advise_scanned`].
+    pub window_releases: u64,
 }
 
 /// Storage-agnostic access to a training set: the exact surface the
@@ -173,11 +179,12 @@ pub trait DatasetStore: Send + Sync {
         (0..self.len()).filter(|&i| self.is_clean(i)).count()
     }
 
-    /// Hint that `rows` will be read soon. Streaming consumers (the
-    /// SGD/DeltaGrad-L minibatch loops) call this one batch ahead; the
-    /// mmap store turns it into `madvise(WILLNEED)` readahead and, when
-    /// a residency budget is set, releases the chunks that fall out of
-    /// the prefetch window. No-op in memory.
+    /// Hint that `rows` will be read soon. No workspace store overrides
+    /// it and no caller issues it: the mmap store's residency window
+    /// follows the reads themselves, and a per-batch hint spanning more
+    /// chunks than the window holds only fought it. The declaration
+    /// stays only because the end-to-end benchmark's `TracedStore` proxy
+    /// (`benchmark/src/trace.rs`) forwards it.
     fn prefetch_rows(&self, rows: &[usize]) {
         let _ = rows;
     }
@@ -484,10 +491,6 @@ impl DatasetStore for OverlayView<'_> {
 
     fn mark_uncleaned(&mut self, _i: usize) {
         panic!("LabelOverlay views are read-only");
-    }
-
-    fn prefetch_rows(&self, rows: &[usize]) {
-        self.base.prefetch_rows(rows);
     }
 
     fn advise_range(&self, lo: usize, hi: usize) {

@@ -40,9 +40,10 @@ pub struct SelectorTelemetry {
     /// structure-aware closed form, `"per_sample"` for the generic
     /// fallback, empty when the selector doesn't report one.
     pub kernel_path: String,
-    /// Which precision/ILP backend the GEMM panels ran on
-    /// (`"reference"`, `"unrolled_f64"` or `"mixed_f32"`; empty when
-    /// `kernel_path` is not `"gemm"`).
+    /// Which panel-kernel backend the GEMM panels ran on: `"reference"`,
+    /// the only one left, or empty when `kernel_path` is not `"gemm"`.
+    /// `"unrolled_f64"` and `"mixed_f32"` appear only in documents
+    /// written while those two backends existed; they still parse.
     ///
     /// Additive `telemetry.v1` field: omitted from the serialized object
     /// when empty so documents (and `checkpoint.v1` files, which embed
@@ -99,10 +100,11 @@ pub struct ConstructorTelemetry {
     /// round telemetry) written before the field existed still
     /// round-trip byte-identically.
     pub kernel_path: String,
-    /// Which precision/ILP backend the training GEMM panels ran on
-    /// (`"reference"`, `"unrolled_f64"` or `"mixed_f32"`; empty when
-    /// `kernel_path` is not `"gemm"`). Additive and omitted when empty,
-    /// like `kernel_path`.
+    /// Which panel-kernel backend the training GEMM panels ran on:
+    /// `"reference"`, or empty when `kernel_path` is not `"gemm"`
+    /// (`"unrolled_f64"` / `"mixed_f32"` only in documents written while
+    /// those backends existed). Additive and omitted when empty, like
+    /// `kernel_path`.
     pub kernel_backend: String,
     /// Wall-clock of the constructor phase in milliseconds.
     pub update_ms: f64,

@@ -132,7 +132,6 @@ pub fn deltagrad_update<M: Model + ?Sized>(
     for (t, batch) in trace.plan.iter() {
         if cfg.is_explicit(t) {
             // Exact gradient on the OLD dataset at the new parameters.
-            old_data.prefetch_rows(&batch);
             objective.batch_grad(model, old_data, &batch, &w, &mut g_base);
             let s = vector::sub(&w, trace.params.row(t));
             let y = vector::sub(&g_base, trace.grads.row(t));

@@ -9,7 +9,9 @@
 //! Increm-Infl selector (which additionally exercises the sharded
 //! provenance initialization and the per-shard top-b merge), the
 //! DeltaGrad-L constructor, the `pread` fallback, and a pathologically
-//! small residency window (constant eviction). Since `store.v2` the
+//! small residency window (constant eviction). A scattered `grad_block`
+//! over more shards than the window holds must also enter each shard
+//! once per block and match the in-memory gradient. Since `store.v2` the
 //! harness also covers the integrity axis: `LazyFirstTouch` (with and
 //! without the background prefetcher) must be bit-identical to `Eager`,
 //! and a `store.v1` directory (no per-block checksum table) must still
@@ -29,7 +31,8 @@ use chef_core::{
 use chef_data::{
     generate_train_store, DatasetKind, DatasetSpec, IntegrityMode, MmapStore, StoreOptions,
 };
-use chef_model::{Dataset, DatasetStore, LogisticRegression, WeightedObjective};
+use chef_linalg::Workspace;
+use chef_model::{Dataset, DatasetStore, LogisticRegression, Model, WeightedObjective};
 use chef_train::{DeltaGradConfig, SgdConfig};
 use chef_weak::random_probabilistic_labels;
 use std::path::{Path, PathBuf};
@@ -326,6 +329,53 @@ fn tiny_residency_window_changes_nothing_but_paging() {
         &test,
     );
     assert_equivalent(&mem, &store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn scattered_grad_block_enters_each_shard_once() {
+    // 600 rows in 60-row shards: 10 shards behind a 4-chunk window. A
+    // stride walk across the pool changes shard on every row, as a
+    // shuffled minibatch does.
+    let dir = std::env::temp_dir().join(format!("chef-store-eq-{}-gather", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    generate_train_store(&spec(), SEED, &dir, 60).expect("gen store");
+    let mem = MmapStore::open(&dir).expect("open store").to_dataset();
+    let store = MmapStore::open_with(
+        &dir,
+        StoreOptions {
+            residency_chunks: 4,
+            background_prefetch: false,
+            ..StoreOptions::default()
+        },
+    )
+    .expect("open store");
+    let bounds = store.shard_boundaries();
+    assert_eq!(bounds.len() - 1, 10);
+    let batch: Vec<usize> = (0..256).map(|k| k * 367 % mem.len()).collect();
+    let mut touched: Vec<usize> = batch
+        .iter()
+        .map(|&i| bounds.partition_point(|&lo| lo <= i) - 1)
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+
+    let model = LogisticRegression::new(mem.dim(), mem.num_classes());
+    let w: Vec<f64> = (0..model.num_params())
+        .map(|j| 0.05 * (j % 5) as f64 - 0.1)
+        .collect();
+    let mut ws = Workspace::new();
+    let mut g_mem = vec![0.0; model.num_params()];
+    let mut g_store = vec![0.0; model.num_params()];
+    model.grad_block(&w, &mem, &batch, 0.8, &mut g_mem, &mut ws);
+    model.grad_block(&w, &store, &batch, 0.8, &mut g_store, &mut ws);
+    let entered = store.io_stats().expect("mmap io stats").window_entries;
+    assert!(
+        entered <= touched.len() as u64,
+        "{entered} window entries for {} touched shards",
+        touched.len()
+    );
+    assert_bits_eq(&g_mem, &g_store, "grad_block");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
