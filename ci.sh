@@ -22,20 +22,32 @@ fi
 
 echo "==> no-feature-fork guard (parallelism and telemetry are runtime-only)"
 # The serial path is the 1-worker pool and the quiet path is a disabled
-# Telemetry handle; neither may come back as a cargo feature.
+# Telemetry handle; neither may come back as a cargo feature, and the
+# serial path may not come back as a `*_serial` twin of an entry point
+# (run the entry point under a 1-worker rayon::ThreadPool instead).
 if grep -rnE 'feature *= *"(parallel|telemetry|enabled)"' crates tests; then
   echo "parallel/telemetry/enabled must not be cargo features" >&2
   exit 1
 fi
+# Test functions may keep `_serial` in their names (they compare a
+# 1-worker pool with a 4-worker one); any other such fn is a twin.
+if ! find crates tests -name '*.rs' -exec awk '
+    FNR == 1 { prev = "" }
+    /fn [a-z_]+_serial([^a-z_0-9]|$)/ && prev !~ /#\[test\]/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    { prev = $0 }
+    END { exit bad }' {} +; then
+  echo "no *_serial twins: install a 1-worker pool around the entry point" >&2
+  exit 1
+fi
 
 echo "==> cargo test (1 rayon worker, 1-worker serve pool)"
-# The shim's pool size is env-pinned; running the suite at both ends of
-# {1,4} workers covers the serial dispatch path and the chunked
-# parallel paths (serial/parallel equivalence tests then compare real
-# threads). The pooled scheduler must preserve every serve invariant at
-# both ends of its pool-size range too: 1 worker (fully serialized
-# slices) and the default 4. CHEF_SERVE_WORKERS pins the pool without
-# touching tests.
+# The process-wide pool size comes from RAYON_NUM_THREADS; running the
+# suite at both ends of {1,4} workers covers every code path that does
+# not install its own pool (the pool-size equivalence tests compare a
+# 1-worker and a 4-worker scoped pool in-process in both lanes). The
+# pooled scheduler must preserve every serve invariant at both ends of
+# its pool-size range too: 1 worker (fully serialized slices) and the
+# default 4. CHEF_SERVE_WORKERS pins the pool without touching tests.
 RAYON_NUM_THREADS=1 CHEF_SERVE_WORKERS=1 cargo test -q --workspace
 
 echo "==> cargo test (4 rayon workers, 4-worker serve pool)"
@@ -72,14 +84,16 @@ serve_smoke
 echo "==> serve_scale bench (quick smoke: pooled vs thread-per-job, thread census + bit identity)"
 cargo run -q --release -p chef-serve --bin serve_scale -- --quick
 
-echo "==> infl_kernels bench (quick smoke: batched kernels run end-to-end)"
-cargo run -q --release -p chef-bench --bin infl_kernels -- --quick
+# The kernel smokes pass --threads explicitly: on a 1-core runner the
+# default sweep caps to t = 1 and would never switch pools.
+echo "==> infl_kernels bench (quick smoke: batched kernels run end-to-end at 1/2 workers)"
+cargo run -q --release -p chef-bench --bin infl_kernels -- --quick --threads 1,2
 
-echo "==> par_speedup bench (quick smoke: thread sweep re-execs at 1/2/4 workers)"
+echo "==> par_speedup bench (quick smoke: in-process thread sweep at 1/2/4 workers)"
 cargo run -q --release -p chef-bench --bin par_speedup -- --quick --threads 1,2,4
 
-echo "==> train_kernels bench (quick smoke)"
-cargo run -q --release -p chef-bench --bin train_kernels -- --quick
+echo "==> train_kernels bench (quick smoke at 1/2 workers)"
+cargo run -q --release -p chef-bench --bin train_kernels -- --quick --threads 1,2
 
 echo "==> oocs_scale bench (quick smoke, eager integrity: in-memory vs mmap bit-identity + RSS)"
 cargo run -q --release -p chef-bench --bin oocs_scale -- --quick --integrity eager

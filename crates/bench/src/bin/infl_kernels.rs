@@ -8,19 +8,18 @@
 //!   loop per candidate (`rank_infl_with_vector_per_sample`), one
 //!   allocating `hvp` call per batch sample;
 //! * `batched_serial` — the structure-aware `score_block`/`hvp_block`
-//!   closed form on one thread (`*_serial` entry points);
-//! * `batched` — the dispatching public API (threaded on a multi-worker
-//!   pool).
+//!   closed form through the public API under a 1-worker pool;
+//! * `batched` — the same call under the swept pool size.
 //!
-//! Each rayon pool size runs in a re-exec'd child (see
-//! `chef_bench::sweep`); the parent assembles `BENCH_infl_kernels.json`
+//! Each rayon pool size runs in-process under a scoped pool (see
+//! `chef_bench::sweep`); the binary assembles `BENCH_infl_kernels.json`
 //! at the workspace root as a telemetry.v1 document (see DESIGN.md
 //! §10/§11) whose top-level `results` is the one-thread run and whose
 //! `thread_sweep` carries the full trajectory. At one thread `batched`
-//! ≈ `batched_serial`; the headline `batched_speedup` column
-//! (per-sample / batched) comes from arithmetic restructuring — two
-//! block GEMMs plus O(C) per sample instead of `C + 1` dense gradient
-//! materializations — threads then multiply it.
+//! and `batched_serial` are the same code; the headline
+//! `batched_speedup` column (per-sample / batched) comes from arithmetic
+//! restructuring — two block GEMMs plus O(C) per sample instead of
+//! `C + 1` dense gradient materializations — threads then multiply it.
 //!
 //! Usage: `cargo run --release -p chef-bench --bin infl_kernels`
 //! (`--reps R` for best-of-R timing, `--threads 1,2,4` to pick the
@@ -28,8 +27,7 @@
 
 use chef_bench::{prepare, sweep};
 use chef_core::influence::{
-    influence_vector, rank_infl_with_vector, rank_infl_with_vector_per_sample,
-    rank_infl_with_vector_serial, InflConfig,
+    influence_vector, rank_infl_with_vector, rank_infl_with_vector_per_sample, InflConfig,
 };
 use chef_data::{DatasetKind, DatasetSpec};
 use chef_linalg::vector;
@@ -124,12 +122,10 @@ fn run_case(n: usize, reps: usize) -> Case {
     let score_per_sample_ms = time_ms(reps, || {
         rank_infl_with_vector_per_sample(&model, data, &w, &v, &pool, obj.gamma)
     });
-    let score_batched_serial_ms = time_ms(reps, || {
-        rank_infl_with_vector_serial(&model, data, &w, &v, &pool, obj.gamma)
-    });
-    let score_batched_ms = time_ms(reps, || {
-        rank_infl_with_vector(&model, data, &w, &v, &pool, obj.gamma)
-    });
+    let serial = sweep::pool(1);
+    let score = || rank_infl_with_vector(&model, data, &w, &v, &pool, obj.gamma);
+    let score_batched_serial_ms = time_ms(reps, || serial.install(score));
+    let score_batched_ms = time_ms(reps, score);
 
     // HVP over the default Hessian subsample size (the CG operator's
     // per-iteration cost).
@@ -140,7 +136,7 @@ fn run_case(n: usize, reps: usize) -> Case {
         out[0]
     });
     let hvp_batched_serial_ms = time_ms(reps, || {
-        obj.batch_hvp_serial(&model, data, &batch, &w, &v, &mut out);
+        serial.install(|| obj.batch_hvp(&model, data, &batch, &w, &v, &mut out));
         out[0]
     });
     let hvp_batched_ms = time_ms(reps, || {
@@ -235,13 +231,7 @@ fn main() {
     let threads = rayon::current_num_threads();
     println!("infl_kernels: cores={cores} rayon_threads={threads} quick={quick}");
 
-    if sweep::is_child(&args) {
-        let cases = measure(sizes, reps);
-        sweep::emit_child_result(&results_fragment(&cases));
-        return;
-    }
-
-    let entries = sweep::run(&args);
+    let entries = sweep::run(&args, || results_fragment(&measure(sizes, reps)));
     if quick {
         println!("quick mode: skipping BENCH_infl_kernels.json");
         return;

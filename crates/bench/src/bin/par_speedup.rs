@@ -3,15 +3,15 @@
 //!
 //! Times one Infl ranking pass (`rank_infl_with_vector`) and one
 //! Increm-Infl bound pass (`IncremInfl::candidates`) at n ∈ {10k, 50k,
-//! 200k} candidates, comparing the `*_serial` entry points against the
-//! dispatching (parallel on a multi-worker pool) public API. Because the rayon shim pins its pool size once per
-//! process, each thread count runs in a re-exec'd child (see
-//! `chef_bench::sweep`); the parent assembles `BENCH_selector.json` at
-//! the workspace root as a telemetry.v1 document (see DESIGN.md §10)
-//! whose top-level `results` is the one-thread run and whose
-//! `thread_sweep` carries the full trajectory. A speedup below the core
-//! count is only meaningful relative to `context.available_cores` and
-//! the per-entry thread count.
+//! 200k} candidates. "serial" is the same call under a 1-worker pool,
+//! "parallel" the call under the swept pool size, so the t = 1 rows
+//! compare a code path with itself (≈ 1.0 by construction). Each thread
+//! count runs in-process under a scoped pool (see `chef_bench::sweep`);
+//! the binary assembles `BENCH_selector.json` at the workspace root as a
+//! telemetry.v1 document (see DESIGN.md §10) whose top-level `results`
+//! is the one-thread run and whose `thread_sweep` carries the full
+//! trajectory. A speedup below the core count is only meaningful
+//! relative to `context.available_cores` and the per-entry thread count.
 //!
 //! The timed kernels carry no instrumentation at all (counters are
 //! derived at phase level, see DESIGN.md §10), so the measured numbers
@@ -23,9 +23,7 @@
 
 use chef_bench::{prepare, sweep};
 use chef_core::increm::IncremInfl;
-use chef_core::influence::{
-    influence_vector, rank_infl_with_vector, rank_infl_with_vector_serial, InflConfig,
-};
+use chef_core::influence::{influence_vector, rank_infl_with_vector, InflConfig};
 use chef_data::{DatasetKind, DatasetSpec};
 use chef_model::{LogisticRegression, Model, WeightedObjective};
 use chef_obs::JsonWriter;
@@ -92,27 +90,30 @@ fn run_case(n: usize, reps: usize) -> Case {
     // frequency excursions hit serial and parallel equally; rep 0 is an
     // untimed warmup, best-of-reps then picks each variant's cleanest
     // window. Timing serial-then-parallel per rep also keeps a 1-worker
-    // pool honest: the gate dispatches both to the same code, so the
+    // sweep entry honest: both variants run the same code there, so the
     // ratio should sit at ~1.0, not inherit a drift-shaped bias.
+    let serial = sweep::pool(1);
+    let rank = || rank_infl_with_vector(&model, data, &w_k, &v, &pool, obj.gamma);
+    let bounds = || increm.candidates(&model, data, &w_k, &v, &pool, 10, obj.gamma);
     let mut rank_serial_ms = f64::INFINITY;
     let mut rank_parallel_ms = f64::INFINITY;
     let mut bounds_serial_ms = f64::INFINITY;
     let mut bounds_parallel_ms = f64::INFINITY;
     for rep in 0..=reps {
         let warmup = rep == 0;
-        let t = once_ms(|| rank_infl_with_vector_serial(&model, data, &w_k, &v, &pool, obj.gamma));
+        let t = once_ms(|| serial.install(rank));
         if !warmup {
             rank_serial_ms = rank_serial_ms.min(t);
         }
-        let t = once_ms(|| rank_infl_with_vector(&model, data, &w_k, &v, &pool, obj.gamma));
+        let t = once_ms(rank);
         if !warmup {
             rank_parallel_ms = rank_parallel_ms.min(t);
         }
-        let t = once_ms(|| increm.candidates_serial(&model, data, &w_k, &v, &pool, 10, obj.gamma));
+        let t = once_ms(|| serial.install(bounds));
         if !warmup {
             bounds_serial_ms = bounds_serial_ms.min(t);
         }
-        let t = once_ms(|| increm.candidates(&model, data, &w_k, &v, &pool, 10, obj.gamma));
+        let t = once_ms(bounds);
         if !warmup {
             bounds_parallel_ms = bounds_parallel_ms.min(t);
         }
@@ -195,13 +196,7 @@ fn main() {
     let threads = rayon::current_num_threads();
     println!("par_speedup: cores={cores} rayon_threads={threads} quick={quick}");
 
-    if sweep::is_child(&args) {
-        let cases = measure(sizes, reps);
-        sweep::emit_child_result(&results_fragment(&cases));
-        return;
-    }
-
-    let entries = sweep::run(&args);
+    let entries = sweep::run(&args, || results_fragment(&measure(sizes, reps)));
     if quick {
         println!("quick mode: skipping BENCH_selector.json");
         return;

@@ -3,18 +3,20 @@
 //!
 //! Three sections, emitted to `BENCH_train.json` at the workspace root
 //! as a telemetry.v1 document (see DESIGN.md §10/§13). Each rayon pool
-//! size runs in a re-exec'd child (see `chef_bench::sweep`); the
-//! top-level sections are the one-thread run and `thread_sweep` carries
-//! the thread-sensitive `grad` section per pool size (`trace_store` and
-//! `cg` report layout and iteration counts, which threads don't change):
+//! size runs in-process under a scoped pool (see `chef_bench::sweep`);
+//! the top-level sections are the one-thread run and `thread_sweep`
+//! carries the thread-sensitive `grad` section per pool size
+//! (`trace_store` and `cg` report layout and iteration counts, which
+//! threads don't change):
 //!
 //! * `grad` — one full epoch of minibatch gradients at
 //!   n ∈ {10k, 50k, 200k}, comparing the pre-batching reference (one
 //!   `grad_ws` call plus axpy per sample), the `grad_block` closed form
-//!   on one thread (`batch_grad_serial`), and the dispatching public
-//!   `batch_grad`. At one thread `batched` ≈ `batched_serial`; the
-//!   baseline speedup comes from the B×C probability panel and the
-//!   rank-1 `Xᵀ·P̃` accumulation, and threads multiply it.
+//!   through `batch_grad` under a 1-worker pool (`batched_serial`), and
+//!   the same call under the swept pool size (`batched`). At one thread
+//!   the two batched variants are the same code; the baseline speedup
+//!   comes from the B×C probability panel and the rank-1 `Xᵀ·P̃`
+//!   accumulation, and threads multiply it.
 //! * `trace_store` — rows/row length/payload bytes of the flat
 //!   provenance arena a `cache_provenance` run records, with the
 //!   per-iteration `Vec<Vec<f64>>` clone layout it replaced as the
@@ -74,7 +76,7 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 
 /// The pre-batching minibatch gradient: one `grad_ws` call plus a
 /// weighted axpy per sample, then objective normalization — what
-/// `WeightedObjective::batch_grad_serial` did before `Model::grad_block`.
+/// `WeightedObjective::batch_grad` did before `Model::grad_block`.
 fn per_sample_batch_grad(
     model: &LogisticRegression,
     obj: &WeightedObjective,
@@ -117,6 +119,7 @@ fn run_grad_case(n: usize, reps: usize) -> GradCase {
     let batches: Vec<Vec<usize>> = plan.iter().map(|(_, b)| b).collect();
     let mut out = vec![0.0; Model::num_params(&model)];
     let mut ws = Workspace::new();
+    let serial = sweep::pool(1);
 
     // Interleave the three variants inside each repetition (rather than
     // timing all reps of one variant back to back) so scheduler noise
@@ -137,9 +140,11 @@ fn run_grad_case(n: usize, reps: usize) -> GradCase {
             per_sample_ms = per_sample_ms.min(t);
         }
         let t = time_ms(1, || {
-            for b in &batches {
-                obj.batch_grad_serial(&model, data, b, &w, &mut out);
-            }
+            serial.install(|| {
+                for b in &batches {
+                    obj.batch_grad(&model, data, b, &w, &mut out);
+                }
+            });
             out[0]
         });
         if !warmup {
@@ -271,8 +276,8 @@ fn workspace_root() -> PathBuf {
     p
 }
 
-/// Measure every section at the current pool size and return them as the
-/// child's JSON fragment: `{"grad":[...],"trace_store":{...},"cg":{...}}`.
+/// Measure every section at the current pool size and return them as one
+/// JSON fragment: `{"grad":[...],"trace_store":{...},"cg":{...}}`.
 fn measure_fragment(sizes: &[usize], reps: usize, cg_n: usize, cg_rounds: usize) -> String {
     let mut grad_cases = Vec::new();
     for &n in sizes {
@@ -363,12 +368,12 @@ fn measure_fragment(sizes: &[usize], reps: usize, cg_n: usize, cg_rounds: usize)
     w.finish()
 }
 
-/// Pull one named section back out of a child fragment.
+/// Pull one named section back out of a sweep fragment.
 fn section(fragment: &str, key: &str) -> String {
     chef_obs::parse_json(fragment)
-        .expect("sweep child emitted valid JSON")
+        .expect("sweep fragment is valid JSON")
         .get(key)
-        .unwrap_or_else(|| panic!("sweep child fragment lacks {key:?}"))
+        .unwrap_or_else(|| panic!("sweep fragment lacks {key:?}"))
         .to_json()
 }
 
@@ -391,12 +396,7 @@ fn main() {
     let threads = rayon::current_num_threads();
     println!("train_kernels: cores={cores} rayon_threads={threads} quick={quick}");
 
-    if sweep::is_child(&args) {
-        sweep::emit_child_result(&measure_fragment(sizes, reps, cg_n, cg_rounds));
-        return;
-    }
-
-    let entries = sweep::run(&args);
+    let entries = sweep::run(&args, || measure_fragment(sizes, reps, cg_n, cg_rounds));
     if quick {
         println!("quick mode: skipping BENCH_train.json");
         return;

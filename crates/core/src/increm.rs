@@ -26,7 +26,7 @@
 //! by their value at `w⁽⁰⁾`; the `slack` factor (default 1, i.e. the
 //! paper's behaviour) can widen the interval to absorb that approximation.
 
-use crate::influence::{rank_infl_top_b_sharded, InflScore};
+use crate::influence::{rank_infl_top_b, InflScore};
 use crate::PAR_GRAIN;
 use chef_linalg::kernels;
 use chef_model::{DatasetStore, Model};
@@ -209,8 +209,8 @@ impl IncremInfl {
     /// Each row is written in place into the flat provenance buffers.
     /// With more than one worker thread, disjoint blocks of rows are
     /// filled across the thread pool; every row is independent (no
-    /// floating-point reduction), so the provenance is bit-identical to
-    /// the serial computation.
+    /// floating-point reduction), so the provenance is bit-identical at
+    /// every pool size.
     pub fn initialize<M: Model + ?Sized>(model: &M, data: &dyn DatasetStore, w0: &[f64]) -> Self {
         let m = model.num_params();
         let c_count = model.num_classes();
@@ -420,10 +420,10 @@ impl IncremInfl {
     /// guaranteed (under the Hessian-freeze approximation) to contain the
     /// top-`b` most influential samples at `w_k`.
     ///
-    /// On a multi-worker pool, pools of at least 128 samples run the
-    /// bound pass across the thread pool; the entries carry no
-    /// cross-sample reduction, so the candidate set is bit-identical to
-    /// [`Self::candidates_serial`].
+    /// The bound pass's dot products run in [`kernels::gather_matvec`],
+    /// which fans out on a multi-worker pool; the entries carry no
+    /// cross-sample reduction, so the candidate set is bit-identical at
+    /// every pool size.
     #[allow(clippy::too_many_arguments)]
     pub fn candidates<M: Model + ?Sized>(
         &self,
@@ -434,37 +434,6 @@ impl IncremInfl {
         pool: &[usize],
         b: usize,
         gamma: f64,
-    ) -> (Vec<usize>, IncremStats) {
-        self.candidates_impl(model, data, w_k, v_pos, pool, b, gamma, true)
-    }
-
-    /// Single-threaded [`Self::candidates`]. Used as the equivalence
-    /// baseline and by the speedup bench.
-    #[allow(clippy::too_many_arguments)]
-    pub fn candidates_serial<M: Model + ?Sized>(
-        &self,
-        model: &M,
-        data: &dyn DatasetStore,
-        w_k: &[f64],
-        v_pos: &[f64],
-        pool: &[usize],
-        b: usize,
-        gamma: f64,
-    ) -> (Vec<usize>, IncremStats) {
-        self.candidates_impl(model, data, w_k, v_pos, pool, b, gamma, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn candidates_impl<M: Model + ?Sized>(
-        &self,
-        model: &M,
-        data: &dyn DatasetStore,
-        w_k: &[f64],
-        v_pos: &[f64],
-        pool: &[usize],
-        b: usize,
-        gamma: f64,
-        allow_parallel: bool,
     ) -> (Vec<usize>, IncremStats) {
         let m = self.provenance.num_params;
         let c_count = self.provenance.num_classes;
@@ -479,36 +448,23 @@ impl IncremInfl {
         // Hoist every provenance dot product out of the per-sample loop:
         // one blocked gather-matvec sweep over the pool's frozen
         // gradients and one over its per-class gradient rows. Each output
-        // element is a full-length row dot, so the parallel sweep is
-        // bit-identical to the serial one; `bound_entry` is then pure
-        // O(C) arithmetic per sample.
+        // element is a full-length row dot, so the sweep is bit-identical
+        // at every pool size; `bound_entry` is then pure O(C) arithmetic
+        // per sample.
         let mut g_dots = vec![0.0; pool.len()];
         let mut class_dots = vec![0.0; pool.len() * c_count];
         let class_rows: Vec<usize> = pool
             .iter()
             .flat_map(|&i| i * c_count..(i + 1) * c_count)
             .collect();
-        let use_parallel_sweep =
-            allow_parallel && pool.len() >= PAR_GRAIN && rayon::current_num_threads() > 1;
-        if use_parallel_sweep {
-            kernels::gather_matvec(&self.provenance.grads0, m, pool, v_pos, &mut g_dots);
-            kernels::gather_matvec(
-                &self.provenance.class_grads0,
-                m,
-                &class_rows,
-                v_pos,
-                &mut class_dots,
-            );
-        } else {
-            kernels::gather_matvec_serial(&self.provenance.grads0, m, pool, v_pos, &mut g_dots);
-            kernels::gather_matvec_serial(
-                &self.provenance.class_grads0,
-                m,
-                &class_rows,
-                v_pos,
-                &mut class_dots,
-            );
-        }
+        kernels::gather_matvec(&self.provenance.grads0, m, pool, v_pos, &mut g_dots);
+        kernels::gather_matvec(
+            &self.provenance.class_grads0,
+            m,
+            &class_rows,
+            v_pos,
+            &mut class_dots,
+        );
 
         // Per sample: the best (smallest) frozen influence over classes,
         // with its interval (`bound_entry`), in pool order.
@@ -558,7 +514,7 @@ impl IncremInfl {
         gamma: f64,
     ) -> (Vec<InflScore>, IncremStats) {
         let (cands, stats) = self.candidates(model, data, w_k, v_pos, pool, b, gamma);
-        let ranked = rank_infl_top_b_sharded(model, data, w_k, v_pos, &cands, gamma, b);
+        let ranked = rank_infl_top_b(model, data, w_k, v_pos, &cands, gamma, b);
         (ranked, stats)
     }
 }

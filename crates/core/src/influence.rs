@@ -107,22 +107,11 @@ pub fn influence_vector<M: Model + ?Sized>(
     w: &[f64],
     cfg: &InflConfig,
 ) -> Vec<f64> {
-    influence_vector_outcome(model, objective, data, val, w, cfg).v
+    influence_vector_outcome_from(model, objective, data, val, w, cfg, None).v
 }
 
-/// [`influence_vector`] plus the solve's cost counters, for telemetry.
-pub fn influence_vector_outcome<M: Model + ?Sized>(
-    model: &M,
-    objective: &WeightedObjective,
-    data: &dyn DatasetStore,
-    val: &dyn DatasetStore,
-    w: &[f64],
-    cfg: &InflConfig,
-) -> InflVectorOutcome {
-    influence_vector_outcome_from(model, objective, data, val, w, cfg, None)
-}
-
-/// [`influence_vector_outcome`] with an optional warm start for the CG
+/// [`influence_vector`] plus the solve's cost counters, for telemetry,
+/// with an optional warm start for the CG
 /// solve. Between cleaning rounds `w` (and hence `H(w)` and `∇F_val`)
 /// moves only as far as one small-batch model update, so the previous
 /// round's solution `v` is an excellent initial iterate: CG still runs
@@ -231,24 +220,6 @@ impl InflScratch {
     }
 }
 
-/// Score every index in `candidates` with Infl, returning results sorted
-/// ascending by score (most harmful first).
-///
-/// This is the "Full" evaluation path of the paper's Exp2; Increm-Infl
-/// narrows `candidates` before calling it.
-pub fn rank_infl<M: Model + ?Sized>(
-    model: &M,
-    objective: &WeightedObjective,
-    data: &dyn DatasetStore,
-    val: &dyn DatasetStore,
-    w: &[f64],
-    candidates: &[usize],
-    cfg: &InflConfig,
-) -> Vec<InflScore> {
-    let v = influence_vector(model, objective, data, val, w, cfg);
-    rank_infl_with_vector(model, data, w, &v, candidates, objective.gamma)
-}
-
 /// Candidates per [`Model::score_block`] call. Sized so one block's GEMM
 /// panels (`block × d` features, `block × C` probabilities and dots)
 /// stay cache-resident while still amortizing the panel setup.
@@ -324,8 +295,8 @@ fn score_block_into<M: Model + ?Sized>(
 /// per-block workspaces, output vectors and final merge are pure
 /// overhead (the cause of the parallel-slower-than-serial rank cells in
 /// earlier BENCH_selector.json runs). Each sample's dots are
-/// row-independent affine products, so scores are bit-identical to the
-/// serial blocked path regardless of block grouping.
+/// row-independent affine products, so scores are bit-identical at
+/// every pool size regardless of block grouping.
 fn score_all_blocked<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,
@@ -363,7 +334,7 @@ fn score_all_blocked<M: Model + ?Sized>(
 }
 
 /// Score one candidate: best (most negative) Eq. 6 influence over the
-/// `C` class perturbations. Shared by the serial and parallel rankers.
+/// `C` class perturbations — the per-sample reference ranker's kernel.
 fn score_candidate<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,
@@ -389,14 +360,17 @@ fn score_candidate<M: Model + ?Sized>(
     }
 }
 
-/// [`rank_infl`] with a precomputed influence vector (lets callers share
-/// one CG solve across selector variants).
+/// Score every index in `candidates` with Infl against a precomputed
+/// influence vector `v` (one CG solve per round, shared by every
+/// selector variant), returning results sorted ascending by score (most
+/// harmful first). This is the "Full" evaluation path of the paper's
+/// Exp2; Increm-Infl narrows `candidates` before scoring.
 ///
 /// Scoring runs through the model's batched [`Model::score_block`]
 /// kernel in `SCORE_BLOCK`-sized blocks; on a multi-worker pool,
 /// candidate sets of at least `PAR_GRAIN` fan the blocks out over the
 /// thread pool. Per-sample dots are row-independent, so scores
-/// are bit-identical to the serial blocked path regardless of block
+/// are bit-identical at every pool size regardless of block
 /// grouping or candidate order, and the `(score, index)` sort makes the
 /// full ranking deterministic even under exact score ties.
 pub fn rank_infl_with_vector<M: Model + ?Sized>(
@@ -412,58 +386,15 @@ pub fn rank_infl_with_vector<M: Model + ?Sized>(
     scores
 }
 
-/// Single-threaded [`rank_infl_with_vector`]. The public entry point
-/// produces bit-identical results above the parallel grain size, and
-/// the speedup bench calls this directly as the baseline.
-pub fn rank_infl_with_vector_serial<M: Model + ?Sized>(
-    model: &M,
-    data: &dyn DatasetStore,
-    w: &[f64],
-    v: &[f64],
-    candidates: &[usize],
-    gamma: f64,
-) -> Vec<InflScore> {
-    let mut ws = Workspace::new();
-    let mut scores = Vec::with_capacity(candidates.len());
-    for block in candidates.chunks(SCORE_BLOCK) {
-        score_block_into(model, data, w, v, block, gamma, &mut ws, &mut scores);
-    }
-    scores.sort_unstable_by(cmp_scores);
-    scores
-}
-
 /// Top-`b` variant of [`rank_infl_with_vector`] for callers that only
 /// consume a cleaning batch: scores every candidate through the same
-/// blocked kernels, then selects the `b` most harmful with an O(n)
-/// partial selection (`select_nth_unstable_by`) instead of sorting the
-/// full pool, and sorts only those `b`. The `(score, index)` total order
-/// makes the result deterministic and exactly equal to
-/// `rank_infl_with_vector(..)[..b]`.
-pub fn rank_infl_top_b<M: Model + ?Sized>(
-    model: &M,
-    data: &dyn DatasetStore,
-    w: &[f64],
-    v: &[f64],
-    candidates: &[usize],
-    gamma: f64,
-    b: usize,
-) -> Vec<InflScore> {
-    let mut scores = score_all_blocked(model, data, w, v, candidates, gamma);
-    if b == 0 {
-        return Vec::new();
-    }
-    if b < scores.len() {
-        scores.select_nth_unstable_by(b - 1, cmp_scores);
-        scores.truncate(b);
-    }
-    scores.sort_unstable_by(cmp_scores);
-    scores
-}
-
-/// Sharded [`rank_infl_top_b`]: scores candidates one storage shard at
-/// a time, releasing each shard's residency before touching the next,
-/// and merges the per-shard top-`b` lists under the same
-/// `(score, index)` total order.
+/// blocked kernels, then selects the `b` most harmful under the
+/// `(score, index)` total order, so the result is deterministic and
+/// exactly equal to `rank_infl_with_vector(..)[..b]`.
+///
+/// On a sharded store the candidates are scored one storage shard at a
+/// time, releasing each shard's residency before touching the next, and
+/// the per-shard top-`b` lists are merged.
 ///
 /// **Determinism argument** (DESIGN.md §15.4): every candidate's score
 /// depends only on its own feature row, label and the shared `(w, v)`
@@ -474,11 +405,9 @@ pub fn rank_infl_top_b<M: Model + ?Sized>(
 /// global top-`b` is necessarily inside its own shard's top-`b`. The
 /// k-way merge compares with `cmp_scores`, whose index tie-break
 /// makes the result independent of shard boundaries and shard visit
-/// order — bit-identical to `rank_infl_top_b` over the whole pool.
-///
-/// On a single-shard store (`shard_boundaries() == [0, n]`) this *is*
-/// `rank_infl_top_b`, so in-memory callers pay nothing.
-pub fn rank_infl_top_b_sharded<M: Model + ?Sized>(
+/// order. A single-shard store (`shard_boundaries() == [0, n]`), which
+/// every in-memory store is, takes the unsharded path directly.
+pub fn rank_infl_top_b<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,
     w: &[f64],
@@ -489,7 +418,7 @@ pub fn rank_infl_top_b_sharded<M: Model + ?Sized>(
 ) -> Vec<InflScore> {
     let bounds = data.shard_boundaries();
     if bounds.len() <= 2 {
-        return rank_infl_top_b(model, data, w, v, candidates, gamma, b);
+        return top_b_of(model, data, w, v, candidates, gamma, b);
     }
     if b == 0 {
         return Vec::new();
@@ -509,15 +438,40 @@ pub fn rank_infl_top_b_sharded<M: Model + ?Sized>(
         }
         let (lo, hi) = (bounds[s], bounds[s + 1]);
         // Hand the *next* populated shard to the store's background
-        // verify-and-warm worker (a no-op for in-memory data or serial
-        // builds) so its I/O overlaps this shard's scoring.
+        // verify-and-warm worker (a no-op for in-memory data or with
+        // background prefetch off) so its I/O overlaps this shard's
+        // scoring.
         if let Some(t) = (s + 1..buckets.len()).find(|&t| !buckets[t].is_empty()) {
             data.prefetch_upcoming(bounds[t], bounds[t + 1]);
         }
-        per_shard.push(rank_infl_top_b(model, data, w, v, bucket, gamma, b));
+        per_shard.push(top_b_of(model, data, w, v, bucket, gamma, b));
         data.advise_scanned(lo, hi);
     }
     merge_top_b(per_shard, b)
+}
+
+/// The unsharded top-`b`: score `candidates`, then an O(n) partial
+/// selection (`select_nth_unstable_by`) instead of sorting the full
+/// pool, and a sort of only the `b` survivors.
+fn top_b_of<M: Model + ?Sized>(
+    model: &M,
+    data: &dyn DatasetStore,
+    w: &[f64],
+    v: &[f64],
+    candidates: &[usize],
+    gamma: f64,
+    b: usize,
+) -> Vec<InflScore> {
+    let mut scores = score_all_blocked(model, data, w, v, candidates, gamma);
+    if b == 0 {
+        return Vec::new();
+    }
+    if b < scores.len() {
+        scores.select_nth_unstable_by(b - 1, cmp_scores);
+        scores.truncate(b);
+    }
+    scores.sort_unstable_by(cmp_scores);
+    scores
 }
 
 /// Deterministic k-way merge of `cmp_scores`-sorted lists into the
@@ -665,6 +619,13 @@ mod tests {
         (model, obj, data, val)
     }
 
+    fn pool(n: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+    }
+
     fn fit(model: &LogisticRegression, obj: &WeightedObjective, data: &Dataset) -> Vec<f64> {
         let cfg = SgdConfig {
             lr: 0.2,
@@ -697,7 +658,8 @@ mod tests {
         let (model, obj, data, val) = fixture(2);
         let w = fit(&model, &obj, &data);
         let all: Vec<usize> = data.uncleaned_indices();
-        let ranked = rank_infl(&model, &obj, &data, &val, &w, &all, &InflConfig::default());
+        let v = influence_vector(&model, &obj, &data, &val, &w, &InflConfig::default());
+        let ranked = rank_infl_with_vector(&model, &data, &w, &v, &all, obj.gamma);
         // The poisoned sample 0 should appear very near the top.
         let pos = ranked.iter().position(|s| s.index == 0).unwrap();
         assert!(pos < 5, "poisoned sample ranked {pos}");
@@ -710,7 +672,8 @@ mod tests {
         let (model, obj, data, val) = fixture(3);
         let w = fit(&model, &obj, &data);
         let all = data.uncleaned_indices();
-        let ranked = rank_infl(&model, &obj, &data, &val, &w, &all, &InflConfig::default());
+        let v = influence_vector(&model, &obj, &data, &val, &w, &InflConfig::default());
+        let ranked = rank_infl_with_vector(&model, &data, &w, &v, &all, obj.gamma);
         for pair in ranked.windows(2) {
             assert!(pair[0].score <= pair[1].score);
         }
@@ -754,12 +717,15 @@ mod tests {
         let w = fit(&model, &obj, &data);
         let v = influence_vector(&model, &obj, &data, &val, &w, &InflConfig::default());
         let all = data.uncleaned_indices();
-        let blocked = rank_infl_with_vector(&model, &data, &w, &v, &all, obj.gamma);
-        let serial = rank_infl_with_vector_serial(&model, &data, &w, &v, &all, obj.gamma);
+        let rank = |threads| {
+            pool(threads).install(|| rank_infl_with_vector(&model, &data, &w, &v, &all, obj.gamma))
+        };
+        let (blocked, serial) = (rank(4), rank(1));
         let reference = rank_infl_with_vector_per_sample(&model, &data, &w, &v, &all, obj.gamma);
         assert_eq!(blocked.len(), reference.len());
+        assert_eq!(blocked.len(), serial.len());
         for (b, s) in blocked.iter().zip(&serial) {
-            // Blocked parallel and blocked serial are bit-identical.
+            // The blocked ranking is bit-identical at 1 and 4 workers.
             assert_eq!(b.index, s.index);
             assert_eq!(b.suggested, s.suggested);
             assert_eq!(b.score.to_bits(), s.score.to_bits());
@@ -848,12 +814,15 @@ mod tests {
         for _ in 0..3 {
             candidates.extend(data.uncleaned_indices());
         }
-        let full = rank_infl_with_vector(&model, &data, &w, &v, &candidates, obj.gamma);
+        let rank = |threads| {
+            pool(threads)
+                .install(|| rank_infl_with_vector(&model, &data, &w, &v, &candidates, obj.gamma))
+        };
+        let (full, serial) = (rank(4), rank(1));
         assert!(
             full.iter().any(|s| !s.score.is_finite()),
             "fixture failed to produce non-finite scores"
         );
-        let serial = rank_infl_with_vector_serial(&model, &data, &w, &v, &candidates, obj.gamma);
         assert_eq!(full.len(), serial.len());
         for (a, b) in full.iter().zip(&serial) {
             assert_eq!(a.index, b.index);

@@ -66,9 +66,8 @@ pub use constructor::{ConstructorKind, ConstructorOutcome, ModelConstructor};
 pub use fault::FaultPlan;
 pub use increm::{IncremInfl, IncremSnapshot, IncremStats};
 pub use influence::{
-    influence_vector, influence_vector_outcome, influence_vector_outcome_from, rank_infl,
-    rank_infl_top_b, rank_infl_with_vector, rank_infl_with_vector_per_sample,
-    rank_infl_with_vector_serial, InflConfig, InflScore, InflVectorOutcome,
+    influence_vector, influence_vector_outcome_from, rank_infl_top_b, rank_infl_with_vector,
+    rank_infl_with_vector_per_sample, InflConfig, InflScore, InflVectorOutcome,
 };
 pub use lissa::{lissa_influence_vector, lissa_solve, LissaConfig};
 pub use metrics::{accuracy, confusion_matrix, evaluate_f1, f1_score, macro_f1, Evaluation};
@@ -79,8 +78,9 @@ pub use selector::{
 };
 
 /// Minimum number of rows before a selector sweep — Infl candidate
-/// scoring, Increm-Infl provenance initialization and its bound pass —
-/// fans out over the thread pool. Each row costs only `C + 1` dense dot
+/// scoring and Increm-Infl provenance initialization — fans out over the
+/// thread pool (the bound pass's dots fan out inside chef-linalg's
+/// `gather_matvec`, at 256 gathered rows). Each row costs only `C + 1` dense dot
 /// products, so the grain sits below chef-model's accumulation gate.
 /// The fan-out is additionally gated on `rayon::current_num_threads() >
 /// 1`: on a 1-worker pool the split/join overhead is pure loss

@@ -8,7 +8,7 @@
 //! independent labeler (§4.3).
 
 use crate::increm::{IncremInfl, IncremSnapshot, IncremStats};
-use crate::influence::{influence_vector_outcome_from, rank_infl_top_b_sharded, InflConfig};
+use crate::influence::{influence_vector_outcome_from, rank_infl_top_b, InflConfig};
 use chef_model::{DatasetStore, Model, WeightedObjective};
 
 /// Everything a selector may look at when ranking the uncleaned pool.
@@ -258,7 +258,7 @@ impl SampleSelector for InflSelector {
             scores
         } else {
             self.last_stats = None;
-            rank_infl_top_b_sharded(
+            rank_infl_top_b(
                 ctx.model,
                 ctx.data,
                 ctx.w,

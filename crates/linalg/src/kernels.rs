@@ -9,7 +9,7 @@
 //!   reorders which *elements* are computed next, never how a single
 //!   element's sum is associated. A blocked or parallel call is
 //!   therefore bit-identical to the naive loop, which is what lets the
-//!   selector's serial/parallel equivalence tests pin exact equality.
+//!   selector's pool-size equivalence tests pin exact equality.
 //! * **Row-major everything, `Bᵀ` implicit.** CHEF's GEMMs are all
 //!   "samples × parameter-rows" products (`logits = X̃Wᵀ`, `U = X̃Vᵀ`),
 //!   so the natural kernel is `C = A·Bᵀ` with both operands row-major —
@@ -19,19 +19,19 @@
 //!   scratch comes from a [`Workspace`] that recycles `Vec`s across
 //!   calls, so steady-state hot loops allocate nothing.
 //!
-//! On a multi-worker pool the dispatching entry points fan row-blocks
-//! out over the thread pool (`rayon` shim: deterministic chunking,
-//! chunk-ordered results); the `*_serial` twins are the 1-worker path
-//! and bit-identical.
+//! On a multi-worker pool [`gather_matvec`] fans row blocks out over the
+//! thread pool (`rayon` shim: deterministic chunking, chunk-ordered
+//! results); on a 1-worker pool it runs the same dots in one loop, with
+//! the same bits.
 
 use crate::vector;
 
-/// Rows per cache block. 64 rows of a few-hundred-column operand keep
-/// the streamed operand plus one output block comfortably inside L1/L2
-/// while staying fine-grained enough to load-balance.
+/// Gathered rows per task when [`gather_matvec`] fans out. 64 rows is
+/// fine-grained enough to load-balance while each task's output stays
+/// a single small allocation.
 pub const ROW_BLOCK: usize = 64;
 
-/// Minimum output rows before the dispatching kernels fan out over the
+/// Minimum gathered rows before [`gather_matvec`] fans out over the
 /// thread pool. Length-only, so the chosen code path is
 /// machine-independent (same rule as chef-model's `PAR_GRAIN`).
 const PAR_GRAIN_ROWS: usize = 256;
@@ -164,84 +164,6 @@ impl Workspace {
     }
 }
 
-/// Split `0..len` into consecutive blocks of at most `block` elements.
-#[inline]
-fn blocks(len: usize, block: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..len.div_ceil(block.max(1))).map(move |b| (b * block, ((b + 1) * block).min(len)))
-}
-
-/// `C = A·Bᵀ` for row-major `A` (`m×k`) and `B` (`n×k`) into row-major
-/// `out` (`m×n`): `out[i][j] = dot(a_i, b_j)`.
-///
-/// Dispatches to a thread-pool fan-out over row blocks of `A` when
-/// `m ≥ 256` **and** the pool has more than one worker — on a
-/// single-worker pool the fan-out's per-block allocations and final
-/// copies are pure overhead, so it falls through to the serial path (same gate as chef-model's `batch_grad` and
-/// chef-core's bound pass). Bit-identical to [`matmul_nt_serial`]
-/// either way (see the module docs).
-///
-/// # Panics
-/// Panics if the slice lengths are not multiples of `k` or `out` has
-/// the wrong length (`k = 0` is rejected).
-pub fn matmul_nt(a: &[f64], b: &[f64], k: usize, out: &mut [f64]) {
-    let (m, n) = check_nt_shapes(a, b, k, out);
-    if m >= PAR_GRAIN_ROWS && rayon::current_num_threads() > 1 {
-        use rayon::prelude::*;
-        let nblocks = m.div_ceil(ROW_BLOCK);
-        let parts: Vec<Vec<f64>> = (0..nblocks)
-            .into_par_iter()
-            .map(|bi| {
-                let lo = bi * ROW_BLOCK;
-                let hi = (lo + ROW_BLOCK).min(m);
-                let mut part = vec![0.0; (hi - lo) * n];
-                for i in lo..hi {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let orow = &mut part[(i - lo) * n..(i - lo + 1) * n];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o = vector::dot(arow, &b[j * k..(j + 1) * k]);
-                    }
-                }
-                part
-            })
-            .collect();
-        for (bi, part) in parts.into_iter().enumerate() {
-            let lo = bi * ROW_BLOCK * n;
-            out[lo..lo + part.len()].copy_from_slice(&part);
-        }
-        return;
-    }
-    matmul_nt_serial(a, b, k, out);
-}
-
-/// Single-threaded [`matmul_nt`]. The dispatching entry point falls
-/// back to it below the parallel grain size or on a 1-worker pool.
-pub fn matmul_nt_serial(a: &[f64], b: &[f64], k: usize, out: &mut [f64]) {
-    let (m, n) = check_nt_shapes(a, b, k, out);
-    // Block both row sets so the `B` rows a block touches stay cached
-    // while the `A` block streams past them.
-    for (ilo, ihi) in blocks(m, ROW_BLOCK) {
-        for (jlo, jhi) in blocks(n, ROW_BLOCK) {
-            for i in ilo..ihi {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for j in jlo..jhi {
-                    orow[j] = vector::dot(arow, &b[j * k..(j + 1) * k]);
-                }
-            }
-        }
-    }
-}
-
-fn check_nt_shapes(a: &[f64], b: &[f64], k: usize, out: &[f64]) -> (usize, usize) {
-    assert!(k > 0, "matmul_nt: k must be positive");
-    assert_eq!(a.len() % k, 0, "matmul_nt: a length not a multiple of k");
-    assert_eq!(b.len() % k, 0, "matmul_nt: b length not a multiple of k");
-    let m = a.len() / k;
-    let n = b.len() / k;
-    assert_eq!(out.len(), m * n, "matmul_nt: out shape mismatch");
-    (m, n)
-}
-
 /// Affine block product `out[i][c] = dot(x_i, wb_c[..d]) + wb_c[d]` for
 /// row-major `x` (`rows×d`) against bias-folded parameter rows `wb`
 /// (`c_rows×(d+1)`) — one call computes a whole block's logits `X̃Wᵀ`
@@ -357,20 +279,19 @@ pub fn affine_nt_unrolled(x: &[f64], wb: &[f64], d: usize, out: &mut [f64]) {
 /// each round dots the surviving pool's rows against the influence
 /// vector.
 ///
-/// Dispatches to a thread-pool fan-out over row blocks when
-/// `rows.len() ≥ 256` and the pool has more than one worker
-/// (single-worker pools take the serial path — the fan-out would only
-/// add per-block allocation overhead); each output
-/// element is a full-row dot, so the result is bit-identical to
-/// [`gather_matvec_serial`].
+/// Fans row blocks out over the thread pool when `rows.len() ≥ 256`
+/// and the pool has more than one worker; otherwise (single-worker
+/// pools, where the fan-out would only add per-block allocation
+/// overhead) one loop computes the same dots. Each output element is a
+/// full-row dot, so the result is bit-identical at every pool size.
 ///
 /// # Panics
 /// Panics on shape mismatches or an out-of-range row index (`k = 0` is
 /// rejected).
 pub fn gather_matvec(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [f64]) {
+    check_gather_shapes(a, k, rows, x, out);
     if rows.len() >= PAR_GRAIN_ROWS && rayon::current_num_threads() > 1 {
         use rayon::prelude::*;
-        check_gather_shapes(a, k, rows, x, out);
         let nblocks = rows.len().div_ceil(ROW_BLOCK);
         let parts: Vec<Vec<f64>> = (0..nblocks)
             .into_par_iter()
@@ -390,13 +311,6 @@ pub fn gather_matvec(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [
         }
         return;
     }
-    gather_matvec_serial(a, k, rows, x, out);
-}
-
-/// Single-threaded [`gather_matvec`]. The dispatching entry point falls
-/// back to it below the parallel grain size or on a 1-worker pool.
-pub fn gather_matvec_serial(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [f64]) {
-    check_gather_shapes(a, k, rows, x, out);
     for (o, &r) in out.iter_mut().zip(rows) {
         *o = vector::dot(&a[r * k..(r + 1) * k], x);
     }
@@ -421,7 +335,6 @@ fn check_gather_shapes(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &[f6
 mod tests {
     use super::*;
     use crate::Matrix;
-    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -518,57 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_known_values() {
-        // A = [[1,2],[3,4],[5,6]], B = [[1,0],[0,1],[1,1]] → A·Bᵀ.
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let b = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        let mut out = vec![0.0; 9];
-        matmul_nt(&a, &b, 2, &mut out);
-        assert_eq!(out, vec![1.0, 2.0, 3.0, 3.0, 4.0, 7.0, 5.0, 6.0, 11.0]);
-    }
-
-    #[test]
-    fn blocked_matches_naive_across_block_boundaries() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        // Shapes straddling ROW_BLOCK and the parallel grain.
-        for (m, n, k) in [(1, 1, 3), (63, 65, 7), (64, 64, 1), (300, 5, 17)] {
-            let a = rand_vec(m * k, &mut rng);
-            let b = rand_vec(n * k, &mut rng);
-            let mut out = vec![0.0; m * n];
-            matmul_nt(&a, &b, k, &mut out);
-            let mut serial = vec![0.0; m * n];
-            matmul_nt_serial(&a, &b, k, &mut serial);
-            let naive = naive_nt(&a, &b, k);
-            assert_eq!(out, serial, "dispatching vs serial ({m}x{n}x{k})");
-            for (x, y) in out.iter().zip(&naive) {
-                assert!((x - y).abs() < 1e-12, "{m}x{n}x{k}: {x} vs {y}");
-            }
-        }
-    }
-
-    proptest! {
-        /// Property: the blocked kernel agrees with the naive `Matrix`
-        /// product for arbitrary shapes and contents.
-        #[test]
-        fn prop_blocked_matmul_matches_naive(
-            m in 1usize..40,
-            n in 1usize..40,
-            k in 1usize..12,
-            seed in 0u64..1000,
-        ) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let a = rand_vec(m * k, &mut rng);
-            let b = rand_vec(n * k, &mut rng);
-            let mut out = vec![0.0; m * n];
-            matmul_nt(&a, &b, k, &mut out);
-            let naive = naive_nt(&a, &b, k);
-            for (x, y) in out.iter().zip(&naive) {
-                prop_assert!((x - y).abs() < 1e-12, "{} vs {}", x, y);
-            }
-        }
-    }
-
-    #[test]
     fn affine_matches_explicit_bias_column() {
         let mut rng = SmallRng::seed_from_u64(2);
         let (rows, c, d) = (70, 3, 5);
@@ -582,8 +444,7 @@ mod tests {
             xt.extend_from_slice(&x[r * d..(r + 1) * d]);
             xt.push(1.0);
         }
-        let mut reference = vec![0.0; rows * c];
-        matmul_nt_serial(&xt, &wb, d + 1, &mut reference);
+        let reference = naive_nt(&xt, &wb, d + 1);
         for (a, b) in out.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
@@ -639,22 +500,21 @@ mod tests {
         let x = rand_vec(k, &mut rng);
         // A scattered, repeated row selection longer than the grain.
         let rows: Vec<usize> = (0..300).map(|i| (i * 7 + 3) % n).collect();
-        let mut out = vec![0.0; rows.len()];
-        gather_matvec(&a, k, &rows, &x, &mut out);
-        let mut serial = vec![0.0; rows.len()];
-        gather_matvec_serial(&a, k, &rows, &x, &mut serial);
-        assert_eq!(out, serial, "dispatching vs serial must be bit-identical");
+        let at = |threads: usize| {
+            let mut out = vec![0.0; rows.len()];
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| gather_matvec(&a, k, &rows, &x, &mut out));
+            out
+        };
+        let out = at(4);
+        assert_eq!(out, at(1), "1 and 4 workers must be bit-identical");
         for (o, &r) in out.iter().zip(&rows) {
             let expect = crate::vector::dot(&a[r * k..(r + 1) * k], &x);
             assert_eq!(*o, expect, "row {r}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out shape mismatch")]
-    fn matmul_nt_rejects_bad_out() {
-        let mut out = vec![0.0; 3];
-        matmul_nt(&[1.0, 2.0], &[3.0, 4.0], 2, &mut out);
     }
 
     #[test]

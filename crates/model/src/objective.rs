@@ -16,86 +16,68 @@ use crate::model::Model;
 use crate::store::DatasetStore;
 use chef_linalg::{vector, LinearOperator, Workspace};
 
-/// Minimum number of per-sample terms before an accumulation fans out to
-/// a multi-worker thread pool. Below this the scoped-thread overhead
-/// outweighs the work, so the serial path runs. The gate
-/// depends only on the input length — never the machine — so which code
-/// path computes a result is reproducible everywhere.
+/// Minimum number of per-sample terms before an accumulation splits into
+/// `GRAD_CHUNK`-row partial sums (and, on a pool with more than one
+/// worker, fans them out). Below it one block call runs. The gate
+/// depends only on the input length — never the machine — so the
+/// summation order is the same at every pool size.
 pub const PAR_GRAIN: usize = 512;
 
-/// Samples per task when a gradient accumulation splits into
-/// [`crate::Model::grad_block`] calls. The serial and parallel gradient
-/// paths share this *identical* chunk partitioning (and combine the
-/// per-chunk partial sums in chunk order), so their
-/// floating-point reductions associate the same way and the two paths
-/// are **bit-identical** at every batch size — not merely ~1e-10 close.
-/// Half of [`PAR_GRAIN`] so a batch right at the parallel threshold
-/// still yields more than one task.
+/// Samples per partial sum when an accumulation reaches [`PAR_GRAIN`].
+/// Half of [`PAR_GRAIN`] so a batch right at the threshold still yields
+/// more than one chunk.
 const GRAD_CHUNK: usize = PAR_GRAIN / 2;
 
-/// Shared body of the gradient accumulations: overwrite `out` with the
-/// raw weighted sum `Σ γ_z ∇F(w, z)` over `batch` (no normalization, no
-/// L2), chunked by [`GRAD_CHUNK`] once the batch reaches [`PAR_GRAIN`].
-/// Below the grain a single [`crate::Model::grad_block`] call runs; the
-/// dispatching entry points fan the *same* chunks out over the thread
-/// pool and combine them in the same order.
-fn grad_weighted_sum_serial<M: Model + ?Sized>(
-    model: &M,
-    data: &dyn DatasetStore,
-    batch: &[usize],
-    gamma: f64,
-    w: &[f64],
-    out: &mut [f64],
-) {
-    let mut ws = Workspace::new();
-    if batch.len() >= PAR_GRAIN {
-        out.fill(0.0);
-        let mut part = vec![0.0; model.num_params()];
-        for chunk in batch.chunks(GRAD_CHUNK) {
-            model.grad_block(w, data, chunk, gamma, &mut part, &mut ws);
-            vector::axpy(1.0, &part, out);
+/// The one reduction behind [`WeightedObjective::batch_grad`],
+/// [`WeightedObjective::val_grad`] and [`WeightedObjective::batch_hvp`]:
+/// overwrite `out` with the raw sum that `block` computes over `batch`
+/// (a [`Model::grad_block`] or [`Model::hvp_block`] call, which
+/// overwrites its output).
+///
+/// Below [`PAR_GRAIN`] this is one `block` call. At or above it the
+/// [`GRAD_CHUNK`]-row partial sums are added in chunk order: serially
+/// with one [`Workspace`] on a 1-worker pool, otherwise one task per
+/// chunk across the pool. Either way every sum associates the same way,
+/// so the result is bit-identical at every pool size.
+fn chunked_sum<F>(batch: &[usize], out: &mut [f64], block: F)
+where
+    F: Fn(&[usize], &mut [f64], &mut Workspace) + Sync,
+{
+    if batch.len() < PAR_GRAIN {
+        block(batch, out, &mut Workspace::new());
+        return;
+    }
+    let m = out.len();
+    out.fill(0.0);
+    if rayon::current_num_threads() > 1 {
+        use rayon::prelude::*;
+        let nchunks = batch.len().div_ceil(GRAD_CHUNK);
+        // map_init rather than fold: each task returns its partial sum
+        // and keeps only a per-worker-chunk Workspace as state. (A fold
+        // threading the accumulator through every step costs ~2x on the
+        // HVP — the moved accumulator defeats the optimizer.)
+        let parts: Vec<Vec<f64>> = (0..nchunks)
+            .into_par_iter()
+            .map_init(Workspace::new, |ws, ci| {
+                let lo = ci * GRAD_CHUNK;
+                let hi = (lo + GRAD_CHUNK).min(batch.len());
+                let mut part = vec![0.0; m];
+                block(&batch[lo..hi], &mut part, ws);
+                part
+            })
+            .collect();
+        for part in &parts {
+            vector::axpy(1.0, part, out);
         }
     } else {
-        model.grad_block(w, data, batch, gamma, out, &mut ws);
+        let mut ws = Workspace::new();
+        let mut part = vec![0.0; m];
+        for chunk in batch.chunks(GRAD_CHUNK) {
+            block(chunk, &mut part, &mut ws);
+            vector::axpy(1.0, &part, out);
+        }
     }
 }
-
-/// Parallel twin of [`grad_weighted_sum_serial`]: the same
-/// [`GRAD_CHUNK`] partitioning fanned out with one task per chunk,
-/// partial sums combined in chunk order — bit-identical to the serial
-/// path by construction. Callers gate on batch size *and* pool size;
-/// the gate cannot change results, only which code computes them.
-fn grad_weighted_sum_parallel<M: Model + ?Sized>(
-    model: &M,
-    data: &dyn DatasetStore,
-    batch: &[usize],
-    gamma: f64,
-    w: &[f64],
-    out: &mut [f64],
-) {
-    use rayon::prelude::*;
-    let m = model.num_params();
-    let nchunks = batch.len().div_ceil(GRAD_CHUNK);
-    let parts: Vec<Vec<f64>> = (0..nchunks)
-        .into_par_iter()
-        .map_init(Workspace::new, |ws, ci| {
-            let lo = ci * GRAD_CHUNK;
-            let hi = (lo + GRAD_CHUNK).min(batch.len());
-            let mut part = vec![0.0; m];
-            model.grad_block(w, data, &batch[lo..hi], gamma, &mut part, ws);
-            part
-        })
-        .collect();
-    out.fill(0.0);
-    for part in &parts {
-        vector::axpy(1.0, part, out);
-    }
-}
-
-/// Samples per task when the parallel Hessian path splits a batch into
-/// [`crate::Model::hvp_block`] calls. Half of [`PAR_GRAIN`] so a batch
-/// right at the parallel threshold still yields more than one task.
-const HVP_CHUNK: usize = PAR_GRAIN / 2;
 
 /// Weighted, L2-regularized empirical risk (paper Eq. 1).
 #[derive(Debug, Clone, Copy)]
@@ -158,13 +140,10 @@ impl WeightedObjective {
     ///
     /// Runs the model's batched [`Model::grad_block`] kernel
     /// (closed-form GEMM panels for logistic regression, a per-sample
-    /// fallback otherwise). On a thread pool larger than one worker,
-    /// batches of at least [`PAR_GRAIN`] samples fan `GRAD_CHUNK`-sized
-    /// tasks out across the pool; the serial and parallel paths share the
-    /// same chunk partitioning and combination order, so dispatch is bit-identical
-    /// to [`Self::batch_grad_serial`] at every size (which is what makes
-    /// the pool-size gate safe: it can only change *which code* computes
-    /// the result).
+    /// fallback otherwise). Batches of at least [`PAR_GRAIN`] samples sum
+    /// `GRAD_CHUNK`-sized partial sums in chunk order, fanned out on a
+    /// pool with more than one worker, so the result is bit-identical at
+    /// every pool size.
     pub fn batch_grad<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -173,27 +152,9 @@ impl WeightedObjective {
         w: &[f64],
         out: &mut [f64],
     ) {
-        if batch.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
-            grad_weighted_sum_parallel(model, data, batch, self.gamma, w, out);
-            vector::scale(1.0 / batch.len() as f64, out);
-            vector::axpy(self.l2, w, out);
-            return;
-        }
-        self.batch_grad_serial(model, data, batch, w, out)
-    }
-
-    /// Single-threaded [`Self::batch_grad`]. The public entry point falls
-    /// back to it below the parallel grain size (and on single-worker
-    /// pools, where fan-out overhead buys nothing).
-    pub fn batch_grad_serial<M: Model + ?Sized>(
-        &self,
-        model: &M,
-        data: &dyn DatasetStore,
-        batch: &[usize],
-        w: &[f64],
-        out: &mut [f64],
-    ) {
-        grad_weighted_sum_serial(model, data, batch, self.gamma, w, out);
+        chunked_sum(batch, out, |chunk, part, ws| {
+            model.grad_block(w, data, chunk, self.gamma, part, ws);
+        });
         if !batch.is_empty() {
             vector::scale(1.0 / batch.len() as f64, out);
         }
@@ -205,7 +166,8 @@ impl WeightedObjective {
     ///
     /// Runs the model's batched [`Model::hvp_block`] kernel (closed-form
     /// GEMM blocks for logistic regression, a per-sample fallback
-    /// otherwise), parallelized above [`PAR_GRAIN`] samples.
+    /// otherwise) through the same chunked reduction as
+    /// [`Self::batch_grad`].
     pub fn hvp<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -218,30 +180,13 @@ impl WeightedObjective {
         self.batch_hvp(model, data, &idx, w, v, out)
     }
 
-    /// Single-threaded [`Self::hvp`]. The public entry point falls back to
-    /// it below the parallel grain size (and on single-worker pools).
-    pub fn hvp_serial<M: Model + ?Sized>(
-        &self,
-        model: &M,
-        data: &dyn DatasetStore,
-        w: &[f64],
-        v: &[f64],
-        out: &mut [f64],
-    ) {
-        let idx: Vec<usize> = (0..data.len()).collect();
-        self.batch_hvp_serial(model, data, &idx, w, v, out)
-    }
-
     /// [`Self::hvp`] restricted to an index subset (the subsampled-Hessian
     /// estimator of Koh & Liang): `(1/|batch|) Σ_{i∈batch} γ_z H(w, z_i) v
     /// + λ v` into `out`.
     ///
-    /// Above [`PAR_GRAIN`] samples the batch splits into `HVP_CHUNK`
-    /// tasks, each a blocked [`Model::hvp_block`] call, combined with
-    /// the same chunk-ordered deterministic reduction as
-    /// [`Self::batch_grad`] — and, like it, only on a pool with more
-    /// than one worker (the fan-out's partial-sum allocations are pure
-    /// overhead at one worker).
+    /// At or above [`PAR_GRAIN`] samples the batch sums `GRAD_CHUNK`-row
+    /// [`Model::hvp_block`] calls in chunk order — the same reduction as
+    /// [`Self::batch_grad`], and like it bit-identical at every pool size.
     pub fn batch_hvp<M: Model + ?Sized>(
         &self,
         model: &M,
@@ -251,51 +196,9 @@ impl WeightedObjective {
         v: &[f64],
         out: &mut [f64],
     ) {
-        if batch.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            let m = model.num_params();
-            let nchunks = batch.len().div_ceil(HVP_CHUNK);
-            // map_init rather than fold: each task returns its partial sum
-            // and keeps only a per-worker-chunk Workspace as state. (A
-            // fold threading a (acc, scratch, workspace) tuple through
-            // every step costs ~2x here — the moved accumulator defeats
-            // the optimizer — and buys nothing, since partial sums are
-            // combined in chunk order either way.)
-            let parts: Vec<Vec<f64>> = (0..nchunks)
-                .into_par_iter()
-                .map_init(Workspace::new, |ws, ci| {
-                    let lo = ci * HVP_CHUNK;
-                    let hi = (lo + HVP_CHUNK).min(batch.len());
-                    let mut part = vec![0.0; m];
-                    model.hvp_block(w, data, &batch[lo..hi], self.gamma, v, &mut part, ws);
-                    part
-                })
-                .collect();
-            out.fill(0.0);
-            for part in &parts {
-                vector::axpy(1.0, part, out);
-            }
-            vector::scale(1.0 / batch.len() as f64, out);
-            vector::axpy(self.l2, v, out);
-            return;
-        }
-        self.batch_hvp_serial(model, data, batch, w, v, out)
-    }
-
-    /// Single-threaded [`Self::batch_hvp`]. The public entry point falls
-    /// back to it below the parallel grain size (and on single-worker
-    /// pools).
-    pub fn batch_hvp_serial<M: Model + ?Sized>(
-        &self,
-        model: &M,
-        data: &dyn DatasetStore,
-        batch: &[usize],
-        w: &[f64],
-        v: &[f64],
-        out: &mut [f64],
-    ) {
-        let mut ws = Workspace::new();
-        model.hvp_block(w, data, batch, self.gamma, v, out, &mut ws);
+        chunked_sum(batch, out, |chunk, part, ws| {
+            model.hvp_block(w, data, chunk, self.gamma, v, part, ws);
+        });
         if !batch.is_empty() {
             vector::scale(1.0 / batch.len() as f64, out);
         }
@@ -318,30 +221,9 @@ impl WeightedObjective {
     /// Runs [`Model::grad_block`] with an explicit `γ = 1` (validation
     /// samples are never down-weighted, so the objective's own `γ` and
     /// `λ` are irrelevant here — any two objectives produce bitwise
-    /// equal validation gradients). Parallelized above [`PAR_GRAIN`]
-    /// samples like [`Self::batch_grad`], with the same bit-identical
-    /// serial/parallel guarantee.
+    /// equal validation gradients), through the same chunked reduction
+    /// as [`Self::batch_grad`].
     pub fn val_grad<M: Model + ?Sized>(
-        &self,
-        model: &M,
-        val: &dyn DatasetStore,
-        w: &[f64],
-        out: &mut [f64],
-    ) {
-        if val.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
-            assert!(!val.is_empty(), "val_grad: empty validation set");
-            let batch: Vec<usize> = (0..val.len()).collect();
-            grad_weighted_sum_parallel(model, val, &batch, 1.0, w, out);
-            vector::scale(1.0 / val.len() as f64, out);
-            return;
-        }
-        self.val_grad_serial(model, val, w, out)
-    }
-
-    /// Single-threaded [`Self::val_grad`]. The public entry point falls
-    /// back to it below the parallel grain size (and on single-worker
-    /// pools).
-    pub fn val_grad_serial<M: Model + ?Sized>(
         &self,
         model: &M,
         val: &dyn DatasetStore,
@@ -350,7 +232,9 @@ impl WeightedObjective {
     ) {
         assert!(!val.is_empty(), "val_grad: empty validation set");
         let batch: Vec<usize> = (0..val.len()).collect();
-        grad_weighted_sum_serial(model, val, &batch, 1.0, w, out);
+        chunked_sum(&batch, out, |chunk, part, ws| {
+            model.grad_block(w, val, chunk, 1.0, part, ws);
+        });
         vector::scale(1.0 / val.len() as f64, out);
     }
 
@@ -585,9 +469,16 @@ mod tests {
         }
     }
 
-    /// The chunk-ordered parallel reduction may associate the sum
-    /// differently than the flat serial loop, so equality is up to
-    /// floating-point drift far below anything the selector can resolve.
+    fn pool(n: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+    }
+
+    /// Every accumulation sums the same chunks in the same order at every
+    /// pool size, so one worker and four agree bit-for-bit — the HVP
+    /// included.
     #[test]
     fn parallel_accumulation_matches_serial() {
         let n = PAR_GRAIN * 2 + 17;
@@ -599,29 +490,27 @@ mod tests {
         let w: Vec<f64> = (0..m).map(|_| rng.gen_range(-0.5..0.5)).collect();
         let v: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let batch: Vec<usize> = (0..n).collect();
-        let close = |a: &[f64], b: &[f64], what: &str| {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-10, "{what}: {x} vs {y}");
-            }
+        let all = |threads: usize| {
+            pool(threads).install(|| {
+                let mut out = vec![vec![0.0; m]; 4];
+                obj.batch_grad(&model, &data, &batch, &w, &mut out[0]);
+                obj.hvp(&model, &data, &w, &v, &mut out[1]);
+                obj.batch_hvp(&model, &data, &batch[3..], &w, &v, &mut out[2]);
+                obj.val_grad(&model, &data, &w, &mut out[3]);
+                out
+            })
         };
-        let (mut pa, mut se) = (vec![0.0; m], vec![0.0; m]);
-        obj.batch_grad(&model, &data, &batch, &w, &mut pa);
-        obj.batch_grad_serial(&model, &data, &batch, &w, &mut se);
-        close(&pa, &se, "batch_grad");
-        obj.hvp(&model, &data, &w, &v, &mut pa);
-        obj.hvp_serial(&model, &data, &w, &v, &mut se);
-        close(&pa, &se, "hvp");
-        obj.batch_hvp(&model, &data, &batch, &w, &v, &mut pa);
-        obj.batch_hvp_serial(&model, &data, &batch, &w, &v, &mut se);
-        close(&pa, &se, "batch_hvp");
-        obj.val_grad(&model, &data, &w, &mut pa);
-        obj.val_grad_serial(&model, &data, &w, &mut se);
-        close(&pa, &se, "val_grad");
+        let (one, four) = (all(1), all(4));
+        for (what, (a, b)) in ["batch_grad", "hvp", "batch_hvp", "val_grad"]
+            .iter()
+            .zip(one.iter().zip(&four))
+        {
+            let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{what}");
+        }
     }
 
-    /// Unlike the HVP reduction, the gradient paths share one chunk
-    /// partitioning between serial and parallel dispatch, so equality is
-    /// exact — at, below, and above the parallel grain.
+    /// Exact pool-size equality at, below and above the chunking grain.
     #[test]
     fn batch_grad_dispatch_is_bit_identical_to_serial() {
         let model = LogisticRegression::new(3, 2);
@@ -629,16 +518,23 @@ mod tests {
         let m = model.num_params();
         let mut rng = SmallRng::seed_from_u64(21);
         let w: Vec<f64> = (0..m).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let v: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
         for n in [PAR_GRAIN - 1, PAR_GRAIN, PAR_GRAIN * 2 + 17] {
             let data = toy_data(n, 3, n as u64);
             let batch: Vec<usize> = (0..n).collect();
-            let (mut pa, mut se) = (vec![0.0; m], vec![0.0; m]);
-            obj.batch_grad(&model, &data, &batch, &w, &mut pa);
-            obj.batch_grad_serial(&model, &data, &batch, &w, &mut se);
-            assert_eq!(pa, se, "batch_grad at n={n}");
-            obj.val_grad(&model, &data, &w, &mut pa);
-            obj.val_grad_serial(&model, &data, &w, &mut se);
-            assert_eq!(pa, se, "val_grad at n={n}");
+            let all = |threads: usize| {
+                pool(threads).install(|| {
+                    let (mut g, mut vg, mut hv) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+                    obj.batch_grad(&model, &data, &batch, &w, &mut g);
+                    obj.val_grad(&model, &data, &w, &mut vg);
+                    obj.batch_hvp(&model, &data, &batch, &w, &v, &mut hv);
+                    (g, vg, hv)
+                })
+            };
+            let (one, four) = (all(1), all(4));
+            assert_eq!(one.0, four.0, "batch_grad at n={n}");
+            assert_eq!(one.1, four.1, "val_grad at n={n}");
+            assert_eq!(one.2, four.2, "batch_hvp at n={n}");
         }
     }
 

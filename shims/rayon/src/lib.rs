@@ -21,8 +21,16 @@
 //! per top-level call; callers on hot inner loops should gate small
 //! inputs (see `chef-model`'s `PAR_GRAIN`).
 //!
+//! **Scoped pools.** [`ThreadPoolBuilder`] and [`ThreadPool::install`]
+//! keep rayon 1's signatures, so one process can run the same code at
+//! several pool sizes: inside `install`, [`current_num_threads`] reports
+//! the pool's size on the calling thread and on every worker a parallel
+//! call spawns there. Outside it the size is `RAYON_NUM_THREADS`, or else
+//! the core count, read once per process.
+//!
 //! [`rayon`]: https://docs.rs/rayon
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -33,9 +41,16 @@ use std::sync::{Mutex, OnceLock};
 /// deterministic across thread counts.
 const MAX_CHUNKS: usize = 64;
 
-/// Number of worker threads: `RAYON_NUM_THREADS` if set and positive,
-/// otherwise the machine's available parallelism.
-pub fn current_num_threads() -> usize {
+thread_local! {
+    /// The size of the pool installed on this thread, if any. Thread-local
+    /// so concurrent callers (say, tests in one harness) cannot see each
+    /// other's pools.
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The process-wide pool size: `RAYON_NUM_THREADS` if set and positive,
+/// otherwise the machine's available parallelism. Read once.
+fn default_num_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
         std::env::var("RAYON_NUM_THREADS")
@@ -49,6 +64,86 @@ pub fn current_num_threads() -> usize {
             })
     })
 }
+
+/// Number of worker threads: the size of the pool installed around the
+/// caller (see [`ThreadPool::install`]), otherwise the process-wide
+/// default.
+pub fn current_num_threads() -> usize {
+    INSTALLED
+        .with(Cell::get)
+        .unwrap_or_else(default_num_threads)
+}
+
+/// Builder for a [`ThreadPool`] (rayon's `ThreadPoolBuilder`, reduced to
+/// the pool size).
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder for a pool of the default size.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Set the pool size; `0` means the process-wide default.
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Create the pool. Never fails; the `Result` keeps rayon's signature.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let num_threads = match self.num_threads {
+            0 => default_num_threads(),
+            n => n,
+        };
+        Ok(ThreadPool { num_threads })
+    }
+}
+
+/// A pool size that [`ThreadPool::install`] puts in effect around a
+/// closure. Workers are still scoped per parallel call; the pool holds
+/// no threads of its own.
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` on the calling thread with this pool's size in effect for
+    /// every parallel call it makes. The previous size comes back when
+    /// `op` returns or unwinds, so installs nest.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED.with(|c| c.replace(Some(self.num_threads))));
+        op()
+    }
+}
+
+/// Error type of [`ThreadPoolBuilder::build`] (never produced here).
+#[derive(Debug)]
+pub struct ThreadPoolBuildError {
+    _private: (),
+}
+
+impl std::fmt::Display for ThreadPoolBuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("thread pool build error")
+    }
+}
+
+impl std::error::Error for ThreadPoolBuildError {}
 
 /// Deterministic chunk boundaries for an input of length `len`:
 /// `min(len, MAX_CHUNKS)` contiguous ranges differing in size by at most
@@ -85,13 +180,19 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = bounds.iter().map(|_| Mutex::new(None)).collect();
+    // Workers inherit the caller's installed pool, so parallel calls they
+    // make see the same size.
+    let installed = INSTALLED.with(Cell::get);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                let Some(range) = bounds.get(c) else { break };
-                let out = work(range.clone());
-                *slots[c].lock().unwrap() = Some(out);
+            scope.spawn(|| {
+                INSTALLED.with(|c| c.set(installed));
+                loop {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(range) = bounds.get(c) else { break };
+                    let out = work(range.clone());
+                    *slots[c].lock().unwrap() = Some(out);
+                }
             });
         }
     });
@@ -390,6 +491,62 @@ mod tests {
     fn sum_matches_serial() {
         let total: usize = (0..1_000usize).into_par_iter().sum();
         assert_eq!(total, 499_500);
+    }
+
+    fn pool(n: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    }
+
+    #[test]
+    fn install_sets_and_restores_the_pool_size() {
+        let outside = current_num_threads();
+        assert_eq!(pool(3).install(current_num_threads), 3);
+        assert_eq!(current_num_threads(), outside);
+        // Zero threads means the default, as in rayon.
+        assert_eq!(pool(0).install(current_num_threads), outside);
+        // An unwinding closure restores the size too.
+        let caught = std::panic::catch_unwind(|| pool(5).install(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert_eq!(current_num_threads(), outside);
+    }
+
+    #[test]
+    fn installs_nest() {
+        pool(2).install(|| {
+            assert_eq!(current_num_threads(), 2);
+            assert_eq!(pool(7).install(current_num_threads), 7);
+            assert_eq!(current_num_threads(), 2);
+        });
+    }
+
+    #[test]
+    fn spawned_workers_inherit_the_installed_size() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mismatches = AtomicUsize::new(0);
+        let threads = Mutex::new(std::collections::HashSet::new());
+        pool(3).install(|| {
+            (0..MAX_CHUNKS).into_par_iter().for_each(|_| {
+                if current_num_threads() != 3 {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+                threads.lock().unwrap().insert(std::thread::current().id());
+            });
+        });
+        assert_eq!(mismatches.load(Ordering::Relaxed), 0);
+        assert!(!threads
+            .lock()
+            .unwrap()
+            .contains(&std::thread::current().id()));
+        // One worker runs every chunk inline on the calling thread.
+        let ids = Mutex::new(std::collections::HashSet::new());
+        pool(1).install(|| {
+            (0..MAX_CHUNKS).into_par_iter().for_each(|_| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+            });
+        });
+        let ids = ids.into_inner().unwrap();
+        assert_eq!(ids.len(), 1);
+        assert!(ids.contains(&std::thread::current().id()));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! regression) and the generic per-sample fallback (MLP) must produce
 //! the same rankings, suggested labels and Hessian-vector products as
 //! the reference per-sample implementations — to ~1e-10 for the closed
-//! form, at every rayon pool size. The pool is sized above every
-//! parallel grain so the threaded block dispatch is exercised on a
-//! multi-worker pool.
+//! form. The fixture is sized above every parallel grain, and the
+//! pool-size tests run one entry point under a 1-worker and a 4-worker
+//! scoped pool, so the threaded block dispatch is compared exactly with
+//! the 1-worker loop.
 
 use chef_core::{
-    rank_infl_top_b, rank_infl_with_vector, rank_infl_with_vector_per_sample,
-    rank_infl_with_vector_serial, InflScore,
+    rank_infl_top_b, rank_infl_with_vector, rank_infl_with_vector_per_sample, InflScore,
 };
 use chef_linalg::{vector, Matrix, Workspace};
 use chef_model::{
@@ -56,6 +56,13 @@ fn fixture(seed: u64) -> Dataset {
         truth,
         CLASSES,
     )
+}
+
+fn pool(n: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .unwrap()
 }
 
 /// A non-degenerate parameter/influence-vector pair (no training needed:
@@ -116,9 +123,11 @@ fn logreg_batched_parallel_and_serial_are_bit_identical() {
     let data = fixture(13);
     let model = LogisticRegression::new(DIM, CLASSES);
     let (w, v) = w_and_v(&model, 14);
-    let pool = data.uncleaned_indices();
-    let dispatched = rank_infl_with_vector(&model, &data, &w, &v, &pool, GAMMA);
-    let serial = rank_infl_with_vector_serial(&model, &data, &w, &v, &pool, GAMMA);
+    let candidates = data.uncleaned_indices();
+    let rank = |threads| {
+        pool(threads).install(|| rank_infl_with_vector(&model, &data, &w, &v, &candidates, GAMMA))
+    };
+    let (dispatched, serial) = (rank(4), rank(1));
     assert_eq!(dispatched.len(), serial.len());
     for (a, b) in dispatched.iter().zip(&serial) {
         assert_eq!(a.index, b.index);
@@ -201,18 +210,20 @@ fn logreg_blocked_hvp_matches_per_sample_reference() {
     let obj = WeightedObjective::new(GAMMA, 0.05);
     let (w, v) = w_and_v(&model, 22);
     let batch: Vec<usize> = (0..N).collect();
-    let mut got = vec![0.0; model.num_params()];
-    obj.batch_hvp(&model, &data, &batch, &w, &v, &mut got);
+    let hvp = |threads| {
+        let mut out = vec![0.0; model.num_params()];
+        pool(threads).install(|| obj.batch_hvp(&model, &data, &batch, &w, &v, &mut out));
+        out
+    };
+    let got = hvp(4);
     let want = reference_batch_hvp(&model, &obj, &data, &batch, &w, &v);
     for (g, r) in got.iter().zip(&want) {
         assert!((g - r).abs() <= 1e-10 * (1.0 + r.abs()), "{g} vs {r}");
     }
-    // Serial twin agrees too.
-    let mut serial = vec![0.0; model.num_params()];
-    obj.batch_hvp_serial(&model, &data, &batch, &w, &v, &mut serial);
-    for (g, r) in serial.iter().zip(&want) {
-        assert!((g - r).abs() <= 1e-10 * (1.0 + r.abs()), "{g} vs {r}");
-    }
+    // One worker sums the same chunks in the same order: exact.
+    let serial = hvp(1);
+    let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&serial));
 }
 
 #[test]

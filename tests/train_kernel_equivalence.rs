@@ -1,14 +1,13 @@
 //! Equivalence tests for the batched training/replay engine.
 //!
-//! Three guarantees from DESIGN.md §13 are pinned here, at every rayon
-//! pool size:
+//! Three guarantees from DESIGN.md §13 are pinned here:
 //!
 //! 1. the GEMM-backed `grad_block` (logistic regression) and the generic
 //!    per-sample fallback (MLP) agree with a reference per-sample
 //!    weighted gradient sum to ≤1e-10;
 //! 2. the full SGD trajectory through `WeightedObjective::batch_grad` is
-//!    *bit-identical* between the dispatched path and the 1-worker
-//!    serial twin — every cached `w_t` and `∇F(w_t, B_t)`;
+//!    *bit-identical* under a 1-worker and a 4-worker scoped pool —
+//!    every cached `w_t` and `∇F(w_t, B_t)`;
 //! 3. the flat `TraceStore` provenance arena replays through
 //!    DeltaGrad-L exactly as the old per-iteration `Vec<Vec<f64>>`
 //!    clones did: rows match a reference nested-vector capture bitwise,
@@ -63,6 +62,13 @@ fn fixture(seed: u64) -> Dataset {
         truth,
         CLASSES,
     )
+}
+
+fn pool(n: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .unwrap()
 }
 
 fn random_w(model: &dyn Model, seed: u64) -> Vec<f64> {
@@ -136,19 +142,20 @@ fn batch_grad_dispatch_is_bit_identical_to_serial_twin() {
     let w = random_w(&model, 36);
     for n in [64, 511, 512, 1024, N] {
         let batch: Vec<usize> = (0..n).collect();
-        let mut dispatched = vec![0.0; model.num_params()];
-        let mut serial = vec![0.0; model.num_params()];
-        obj.batch_grad(&model, &data, &batch, &w, &mut dispatched);
-        obj.batch_grad_serial(&model, &data, &batch, &w, &mut serial);
-        assert_eq!(dispatched, serial, "batch len {n}");
+        let grad = |threads| {
+            let mut out = vec![0.0; model.num_params()];
+            pool(threads).install(|| obj.batch_grad(&model, &data, &batch, &w, &mut out));
+            out
+        };
+        assert_eq!(grad(4), grad(1), "batch len {n}");
     }
 }
 
 #[test]
 fn sgd_trajectory_is_bit_identical_to_serial_replay() {
-    // `train` runs on the dispatched `batch_grad`; a hand-rolled loop on
-    // the serial twin must reproduce every iterate exactly, including
-    // with batches above the parallel grain.
+    // `train` on a 4-worker pool fans `batch_grad` out; a hand-rolled
+    // loop on a 1-worker pool must reproduce every iterate exactly,
+    // including with batches above the parallel grain.
     let data = fixture(37);
     let model = LogisticRegression::new(DIM, CLASSES);
     let obj = WeightedObjective::new(GAMMA, 0.02);
@@ -159,18 +166,20 @@ fn sgd_trajectory_is_bit_identical_to_serial_replay() {
         seed: 9,
         cache_provenance: true,
     };
-    let out = train(&model, &obj, &data, &model.init_params(), &cfg);
+    let out = pool(4).install(|| train(&model, &obj, &data, &model.init_params(), &cfg));
     let trace = out.trace.unwrap();
 
     let plan = BatchPlan::new(data.len(), cfg.batch_size, cfg.epochs, cfg.seed);
     let mut w = model.init_params();
     let mut g = vec![0.0; model.num_params()];
-    for (t, batch) in plan.iter() {
-        obj.batch_grad_serial(&model, &data, &batch, &w, &mut g);
-        assert_eq!(w.as_slice(), trace.params.row(t), "params, iteration {t}");
-        assert_eq!(g.as_slice(), trace.grads.row(t), "grads, iteration {t}");
-        vector::axpy(-cfg.lr, &g, &mut w);
-    }
+    pool(1).install(|| {
+        for (t, batch) in plan.iter() {
+            obj.batch_grad(&model, &data, &batch, &w, &mut g);
+            assert_eq!(w.as_slice(), trace.params.row(t), "params, iteration {t}");
+            assert_eq!(g.as_slice(), trace.grads.row(t), "grads, iteration {t}");
+            vector::axpy(-cfg.lr, &g, &mut w);
+        }
+    });
     assert_eq!(w, out.w);
 }
 
@@ -232,9 +241,10 @@ fn val_grad_dispatch_is_bit_identical_to_serial_twin() {
     let model = LogisticRegression::new(DIM, CLASSES);
     let obj = WeightedObjective::new(GAMMA, 0.05);
     let w = random_w(&model, 40);
-    let mut dispatched = vec![0.0; model.num_params()];
-    let mut serial = vec![0.0; model.num_params()];
-    obj.val_grad(&model, &data, &w, &mut dispatched);
-    obj.val_grad_serial(&model, &data, &w, &mut serial);
-    assert_eq!(dispatched, serial);
+    let val_grad = |threads| {
+        let mut out = vec![0.0; model.num_params()];
+        pool(threads).install(|| obj.val_grad(&model, &data, &w, &mut out));
+        out
+    };
+    assert_eq!(val_grad(4), val_grad(1));
 }
