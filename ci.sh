@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Local CI: formatting, lints, the test suite at both ends of the rayon
-# and scheduler pool-size ranges, the fault-injection lanes, and bench
-# smokes. There is one build configuration; parallelism and telemetry
-# are runtime properties only.
+# Local CI: formatting, lints, the test suite (fault-injection suites
+# included) at both ends of the rayon and scheduler pool-size ranges,
+# and bench smokes. There is one build configuration; parallelism,
+# telemetry and fault injection are runtime properties only.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -20,13 +20,15 @@ if grep -rn "thread::sleep" tests/serve_*.rs crates/serve/src; then
   exit 1
 fi
 
-echo "==> no-feature-fork guard (parallelism and telemetry are runtime-only)"
-# The serial path is the 1-worker pool and the quiet path is a disabled
-# Telemetry handle; neither may come back as a cargo feature, and the
-# serial path may not come back as a `*_serial` twin of an entry point
-# (run the entry point under a 1-worker rayon::ThreadPool instead).
-if grep -rnE 'feature *= *"(parallel|telemetry|enabled)"' crates tests; then
-  echo "parallel/telemetry/enabled must not be cargo features" >&2
+echo "==> no-feature-fork guard (one build configuration: no cargo features)"
+# The serial path is the 1-worker pool, the quiet path is a disabled
+# Telemetry handle and the fault-free path is the empty FaultPlan; no
+# fork may come back as a cargo feature, and the serial path may not
+# come back as a `*_serial` twin of an entry point (run the entry point
+# under a 1-worker rayon::ThreadPool instead).
+if grep -nE '^[[:space:]]*\[features\]' crates/*/Cargo.toml ||
+   grep -rnE --include='*.rs' 'cfg(_attr)?!?\(.*feature *=' crates tests; then
+  echo "no cargo features in crates/: make the fork a runtime setting" >&2
   exit 1
 fi
 # Test functions may keep `_serial` in their names (they compare a
@@ -48,17 +50,13 @@ echo "==> cargo test (1 rayon worker, 1-worker serve pool)"
 # pooled scheduler must preserve every serve invariant at both ends of
 # its pool-size range too: 1 worker (fully serialized slices) and the
 # default 4. CHEF_SERVE_WORKERS pins the pool without touching tests.
+# Both lanes include the fault-injection suites: crash/torn-write/
+# bit-flip resume equivalence (checkpoint_resume, store_equivalence)
+# and the daemon's kill-mid-round/torn-checkpoint drills (serve_fault).
 RAYON_NUM_THREADS=1 CHEF_SERVE_WORKERS=1 cargo test -q --workspace
 
 echo "==> cargo test (4 rayon workers, 4-worker serve pool)"
 RAYON_NUM_THREADS=4 CHEF_SERVE_WORKERS=4 cargo test -q --workspace
-
-echo "==> cargo test (fault injection: crash/torn-write/bit-flip replay equivalence)"
-cargo test -q -p chef-core --features fault-inject --test checkpoint_resume --test store_equivalence
-
-echo "==> cargo test (daemon fault harness at 1 and 4 pool workers: kill-mid-round / torn-checkpoint / stale-replay under serve)"
-CHEF_SERVE_WORKERS=1 cargo test -q -p chef-serve --features fault-inject --test serve_fault
-CHEF_SERVE_WORKERS=4 cargo test -q -p chef-serve --features fault-inject --test serve_fault
 
 # One framed submit + blocking results piped through the daemon's stdio
 # mode: proves the binary, the protocol, and the job manager compose

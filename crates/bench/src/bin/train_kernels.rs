@@ -1,13 +1,12 @@
 //! Per-sample vs batched (GEMM-backed) training kernel wall time, plus
-//! the provenance arena footprint and the warm-started iHVP solve.
+//! the provenance arena footprint.
 //!
-//! Three sections, emitted to `BENCH_train.json` at the workspace root
+//! Two sections, emitted to `BENCH_train.json` at the workspace root
 //! as a telemetry.v1 document (see DESIGN.md §10/§13). Each rayon pool
 //! size runs in-process under a scoped pool (see `chef_bench::sweep`);
 //! the top-level sections are the one-thread run and `thread_sweep`
 //! carries the thread-sensitive `grad` section per pool size
-//! (`trace_store` and `cg` report layout and iteration counts, which
-//! threads don't change):
+//! (`trace_store` reports layout, which threads don't change):
 //!
 //! * `grad` — one full epoch of minibatch gradients at
 //!   n ∈ {10k, 50k, 200k}, comparing the pre-batching reference (one
@@ -21,18 +20,12 @@
 //!   provenance arena a `cache_provenance` run records, with the
 //!   per-iteration `Vec<Vec<f64>>` clone layout it replaced as the
 //!   baseline (same payload plus one heap allocation per row).
-//! * `cg` — a simulated multi-round cleaning loop: per round, the iHVP
-//!   system is solved cold (x₀ = 0) and warm (x₀ = previous round's
-//!   solution) at the same fixed tolerance; the totals show strictly
-//!   fewer iterations with the warm start while the solutions stay
-//!   within the CG tolerance of each other.
 //!
 //! Usage: `cargo run --release -p chef-bench --bin train_kernels`
 //! (`--reps R` for best-of-R timing, `--threads 1,2,4` to pick the
 //! sweep, `--quick` for a tiny CI-sized run with no JSON output).
 
 use chef_bench::{prepare, sweep};
-use chef_core::influence::{influence_vector_outcome_from, InflConfig};
 use chef_data::{DatasetKind, DatasetSpec};
 use chef_linalg::{vector, Workspace};
 use chef_model::{Dataset, LogisticRegression, Model, WeightedObjective};
@@ -209,66 +202,6 @@ fn run_trace_case(n: usize) -> TraceCase {
     }
 }
 
-struct CgRound {
-    round: usize,
-    cold_iters: usize,
-    warm_iters: usize,
-}
-
-/// Simulate `rounds` cleaning rounds: between rounds the model moves by
-/// a few SGD steps (stand-in for one DeltaGrad-L update), and each
-/// round's iHVP system is solved both cold and warm-started from the
-/// previous round's warm solution.
-fn run_cg_rounds(n: usize, rounds: usize) -> (Vec<CgRound>, f64) {
-    let prepared = prepare(&spec_for(n), 1);
-    let data = &prepared.split.train;
-    let val = &prepared.split.val;
-    let model = LogisticRegression::new(data.dim(), 2);
-    let obj = WeightedObjective::new(0.8, 0.2);
-    let sgd = SgdConfig {
-        lr: 0.1,
-        epochs: 2,
-        batch_size: 1024,
-        seed: 2,
-        cache_provenance: false,
-    };
-    let mut w = train(&model, &obj, data, &model.initial_params(0), &sgd).w;
-    let cfg = InflConfig::default();
-
-    let mut prev: Option<Vec<f64>> = None;
-    let mut out = Vec::new();
-    let mut max_gap = 0.0f64;
-    for round in 0..rounds {
-        let rc = cfg.for_round(round);
-        let cold = influence_vector_outcome_from(&model, &obj, data, val, &w, &rc, None);
-        let warm = influence_vector_outcome_from(&model, &obj, data, val, &w, &rc, prev.as_deref());
-        let gap = cold
-            .v
-            .iter()
-            .zip(&warm.v)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        max_gap = max_gap.max(gap);
-        out.push(CgRound {
-            round,
-            cold_iters: cold.cg_iters,
-            warm_iters: warm.cg_iters,
-        });
-        prev = Some(warm.v);
-        // One round's model drift: a few fresh minibatch steps.
-        let plan = BatchPlan::new(data.len(), 1024, 1, 100 + round as u64);
-        let mut g = vec![0.0; Model::num_params(&model)];
-        for (t, batch) in plan.iter() {
-            if t >= 4 {
-                break;
-            }
-            obj.batch_grad(&model, data, &batch, &w, &mut g);
-            vector::axpy(-0.05, &g, &mut w);
-        }
-    }
-    (out, max_gap)
-}
-
 fn workspace_root() -> PathBuf {
     let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
@@ -277,8 +210,8 @@ fn workspace_root() -> PathBuf {
 }
 
 /// Measure every section at the current pool size and return them as one
-/// JSON fragment: `{"grad":[...],"trace_store":{...},"cg":{...}}`.
-fn measure_fragment(sizes: &[usize], reps: usize, cg_n: usize, cg_rounds: usize) -> String {
+/// JSON fragment: `{"grad":[...],"trace_store":{...}}`.
+fn measure_fragment(sizes: &[usize], reps: usize) -> String {
     let mut grad_cases = Vec::new();
     for &n in sizes {
         let c = run_grad_case(n, reps);
@@ -304,23 +237,6 @@ fn measure_fragment(sizes: &[usize], reps: usize, cg_n: usize, cg_rounds: usize)
         trace.nested_allocations,
     );
 
-    let (cg, cg_gap) = run_cg_rounds(cg_n, cg_rounds);
-    let cold_total: usize = cg.iter().map(|r| r.cold_iters).sum();
-    let warm_total: usize = cg.iter().map(|r| r.warm_iters).sum();
-    for r in &cg {
-        println!(
-            "cg round {}: cold {} iters, warm {} iters",
-            r.round, r.cold_iters, r.warm_iters
-        );
-    }
-    println!(
-        "cg totals over {cg_rounds} rounds at n={cg_n}: cold {cold_total}, warm {warm_total} (max |v_cold - v_warm| = {cg_gap:.2e})"
-    );
-    assert!(
-        warm_total < cold_total,
-        "warm start must save iterations over a multi-round run"
-    );
-
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("grad");
@@ -344,25 +260,6 @@ fn measure_fragment(sizes: &[usize], reps: usize, cg_n: usize, cg_rounds: usize)
     w.field_u64("arena_allocations", trace.arena_allocations as u64);
     w.field_u64("nested_bytes", trace.nested_bytes as u64);
     w.field_u64("nested_allocations", trace.nested_allocations as u64);
-    w.end_object();
-    w.key("cg");
-    w.begin_object();
-    w.field_u64("n", cg_n as u64);
-    w.field_u64("rounds", cg_rounds as u64);
-    w.key("per_round");
-    w.begin_array();
-    for r in &cg {
-        w.begin_object();
-        w.field_u64("round", r.round as u64);
-        w.field_u64("cold_iters", r.cold_iters as u64);
-        w.field_u64("warm_iters", r.warm_iters as u64);
-        w.end_object();
-    }
-    w.end_array();
-    w.field_u64("cold_total_iters", cold_total as u64);
-    w.field_u64("warm_total_iters", warm_total as u64);
-    w.field_u64("iters_saved", (cold_total - warm_total) as u64);
-    w.field_f64("max_solution_gap", cg_gap);
     w.end_object();
     w.end_object();
     w.finish()
@@ -391,12 +288,11 @@ fn main() {
     } else {
         &[10_000, 50_000, 200_000]
     };
-    let (cg_n, cg_rounds) = if quick { (2_000, 3) } else { (50_000, 6) };
     let cores = sweep::available_cores();
     let threads = rayon::current_num_threads();
     println!("train_kernels: cores={cores} rayon_threads={threads} quick={quick}");
 
-    let entries = sweep::run(&args, || measure_fragment(sizes, reps, cg_n, cg_rounds));
+    let entries = sweep::run(&args, || measure_fragment(sizes, reps));
     if quick {
         println!("quick mode: skipping BENCH_train.json");
         return;
@@ -421,7 +317,7 @@ fn main() {
     w.field_str("unit", "ms (best of reps, one full epoch of minibatches)");
     sweep::write_context_fields(&mut w, &entries);
     w.end_object();
-    for key in ["grad", "trace_store", "cg"] {
+    for key in ["grad", "trace_store"] {
         w.key(key);
         w.raw(&section(base, key));
     }

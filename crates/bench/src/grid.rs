@@ -59,7 +59,7 @@ pub fn cell_config(prepared: &PreparedDataset, cell: &Cell) -> PipelineConfig {
         // Non-convex path: gentler steps. Cold restarts keep every round
         // comparable; warm starts were tried and accumulate
         // noise-memorization round over round on the random-label
-        // datasets (F1 collapse), so they stay off.
+        // datasets (F1 collapse), so every retrain starts cold.
         cfg.sgd.lr = 0.05;
         cfg.sgd.epochs = 20;
     }

@@ -45,12 +45,6 @@ pub struct ModelConstructor {
     pub kind: ConstructorKind,
     /// SGD hyperparameters (provenance caching is forced on).
     pub sgd: SgdConfig,
-    /// Start each retraining from the previous round's parameters rather
-    /// than from scratch. Irrelevant for strongly convex models (both
-    /// starts reach the same optimum) but essential for the non-convex
-    /// Appendix G.2 models, where a cold restart after a 10-label change
-    /// can land in a different minimum and swamp the cleaning signal.
-    pub warm_start: bool,
     /// Telemetry handle the training runs report into (spans, per-batch
     /// histogram). Disabled by default; the pipeline threads its own
     /// handle through via [`Self::with_telemetry`].
@@ -65,15 +59,8 @@ impl ModelConstructor {
         Self {
             kind,
             sgd,
-            warm_start: false,
             telemetry: chef_obs::Telemetry::disabled(),
         }
-    }
-
-    /// Enable warm-started retraining (see [`Self::warm_start`]).
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
     }
 
     /// Route the constructor's training runs into a telemetry handle.
@@ -115,15 +102,7 @@ impl ModelConstructor {
         let start = Instant::now();
         match self.kind {
             ConstructorKind::Retrain => {
-                let w0 = if self.warm_start {
-                    prev_trace
-                        .epoch_checkpoints
-                        .last()
-                        .cloned()
-                        .unwrap_or_else(|| model.initial_params(self.sgd.seed))
-                } else {
-                    model.initial_params(self.sgd.seed)
-                };
+                let w0 = model.initial_params(self.sgd.seed);
                 let out = train_traced(model, objective, new_data, &w0, &self.sgd, &self.telemetry);
                 ConstructorOutcome {
                     w: out.w,

@@ -18,7 +18,7 @@
 //! full pass costs one CG solve plus `C` per-class gradients per sample.
 
 use crate::PAR_GRAIN;
-use chef_linalg::cg::{conjugate_gradient, conjugate_gradient_from, CgConfig};
+use chef_linalg::cg::{conjugate_gradient, CgConfig};
 use chef_linalg::{vector, Workspace};
 #[cfg(test)]
 use chef_model::Dataset;
@@ -107,47 +107,28 @@ pub fn influence_vector<M: Model + ?Sized>(
     w: &[f64],
     cfg: &InflConfig,
 ) -> Vec<f64> {
-    influence_vector_outcome_from(model, objective, data, val, w, cfg, None).v
+    influence_vector_outcome(model, objective, data, val, w, cfg).v
 }
 
-/// [`influence_vector`] plus the solve's cost counters, for telemetry,
-/// with an optional warm start for the CG
-/// solve. Between cleaning rounds `w` (and hence `H(w)` and `∇F_val`)
-/// moves only as far as one small-batch model update, so the previous
-/// round's solution `v` is an excellent initial iterate: CG still runs
-/// to the *same* fixed residual tolerance and only the iteration count
-/// changes. Pass `None` (or a guess of the wrong dimension, which is
-/// ignored) for the cold zero start; the warm path costs one extra HVP
-/// to form the initial residual, counted in `hvp_evals`.
-#[allow(clippy::too_many_arguments)]
-pub fn influence_vector_outcome_from<M: Model + ?Sized>(
+/// [`influence_vector`] plus the solve's cost counters, for telemetry.
+pub fn influence_vector_outcome<M: Model + ?Sized>(
     model: &M,
     objective: &WeightedObjective,
     data: &dyn DatasetStore,
     val: &dyn DatasetStore,
     w: &[f64],
     cfg: &InflConfig,
-    warm_start: Option<&[f64]>,
 ) -> InflVectorOutcome {
     let mut val_grad = vec![0.0; model.num_params()];
     objective.val_grad(model, val, w, &mut val_grad);
-    let warm = warm_start.filter(|x0| x0.len() == val_grad.len());
     let subsampled = cfg.hessian_batch > 0 && data.len() > cfg.hessian_batch;
     let (out, hvp_evals) = if subsampled {
         let batch = hessian_subsample(data.len(), cfg.hessian_batch, cfg.seed);
         let op = objective.hessian_operator_on(model, data, w, batch);
-        let out = match warm {
-            Some(x0) => conjugate_gradient_from(&op, &val_grad, x0, &cfg.cg),
-            None => conjugate_gradient(&op, &val_grad, &cfg.cg),
-        };
-        (out, op.applies())
+        (conjugate_gradient(&op, &val_grad, &cfg.cg), op.applies())
     } else {
         let op = objective.hessian_operator(model, data, w);
-        let out = match warm {
-            Some(x0) => conjugate_gradient_from(&op, &val_grad, x0, &cfg.cg),
-            None => conjugate_gradient(&op, &val_grad, &cfg.cg),
-        };
-        (out, op.applies())
+        (conjugate_gradient(&op, &val_grad, &cfg.cg), op.applies())
     };
     InflVectorOutcome {
         v: out.x,

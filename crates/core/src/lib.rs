@@ -39,7 +39,6 @@
 pub mod annotation;
 pub mod checkpoint;
 pub mod constructor;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod increm;
 pub mod influence;
@@ -62,11 +61,10 @@ pub use chef_obs::{
     SCHEMA_VERSION,
 };
 pub use constructor::{ConstructorKind, ConstructorOutcome, ModelConstructor};
-#[cfg(feature = "fault-inject")]
 pub use fault::FaultPlan;
 pub use increm::{IncremInfl, IncremSnapshot, IncremStats};
 pub use influence::{
-    influence_vector, influence_vector_outcome_from, rank_infl_top_b, rank_infl_with_vector,
+    influence_vector, influence_vector_outcome, rank_infl_top_b, rank_infl_with_vector,
     rank_infl_with_vector_per_sample, InflConfig, InflScore, InflVectorOutcome,
 };
 pub use lissa::{lissa_influence_vector, lissa_solve, LissaConfig};

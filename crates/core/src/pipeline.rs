@@ -10,7 +10,6 @@
 use crate::annotation::AnnotationConfig;
 use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, LabelPatch};
 use crate::constructor::{ConstructorKind, ModelConstructor};
-#[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::increm::IncremStats;
 use crate::metrics::evaluate_f1;
@@ -40,9 +39,6 @@ pub struct PipelineConfig {
     pub annotation: AnnotationConfig,
     /// Early termination: stop once validation F1 reaches this value.
     pub target_val_f1: Option<f64>,
-    /// Warm-start retraining from the previous round's parameters (for
-    /// non-convex models; see [`ModelConstructor::warm_start`]).
-    pub warm_start: bool,
     /// Telemetry handle every phase reports into. Defaults to disabled,
     /// which records nothing and leaves every result bit-identical.
     pub telemetry: Telemetry,
@@ -52,9 +48,9 @@ pub struct PipelineConfig {
     /// [`Pipeline::resume_round_loop_latest`] continues an interrupted
     /// run bit-identically. `None` (the default) writes nothing.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Deterministic fault injection (`fault-inject` feature only): the
-    /// test harness's crash/torn-write/bit-flip/timeout schedule.
-    #[cfg(feature = "fault-inject")]
+    /// Deterministic fault injection: the crash-recovery harness's
+    /// crash/torn-write/bit-flip/timeout schedule. The default plan is
+    /// empty and injects nothing.
     pub faults: FaultPlan,
 }
 
@@ -68,10 +64,8 @@ impl Default for PipelineConfig {
             constructor: ConstructorKind::Retrain,
             annotation: AnnotationConfig::default(),
             target_val_f1: None,
-            warm_start: false,
             telemetry: Telemetry::disabled(),
             checkpoint: None,
-            #[cfg(feature = "fault-inject")]
             faults: FaultPlan::default(),
         }
     }
@@ -126,9 +120,10 @@ pub struct PipelineReport {
     pub cleaned_total: usize,
     /// The training set after all cleaning (for inspection).
     pub final_data: Dataset,
-    /// Whether the run was cut short by an injected crash (`fault-inject`
-    /// feature) rather than finishing its budget. Always `false` in
-    /// production builds; a resumed run that completes clears it.
+    /// Whether the run was cut short by an injected crash
+    /// ([`PipelineConfig::faults`]) rather than finishing its budget.
+    /// Always `false` under the empty plan; a resumed run that completes
+    /// clears it.
     pub interrupted: bool,
 }
 
@@ -468,7 +463,6 @@ impl Pipeline {
 
     pub(crate) fn constructor(&self) -> ModelConstructor {
         ModelConstructor::new(self.cfg.constructor, self.cfg.sgd)
-            .with_warm_start(self.cfg.warm_start)
             .with_telemetry(self.cfg.telemetry.clone())
     }
 
@@ -528,7 +522,7 @@ impl Pipeline {
                 tel.add("checkpoint.writes", 1);
                 tel.add("checkpoint.bytes", bytes);
                 tel.observe_ms("checkpoint.write_ms", start.elapsed().as_secs_f64() * 1e3);
-                self.mangle_checkpoint(finished_round, &path);
+                self.cfg.faults.mangle_after_write(finished_round, &path);
             }
             Err(_) => {
                 // A failed write must not kill the cleaning run; the
@@ -537,43 +531,14 @@ impl Pipeline {
             }
         }
     }
-
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn crash_requested(&self, finished_round: usize) -> bool {
-        self.cfg.faults.crash_after_round == Some(finished_round)
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    pub(crate) fn crash_requested(&self, _finished_round: usize) -> bool {
-        false
-    }
-
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fn annotators_time_out(&self, round: usize) -> bool {
-        self.cfg.faults.annotators_time_out(round)
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    pub(crate) fn annotators_time_out(&self, _round: usize) -> bool {
-        false
-    }
-
-    #[cfg(feature = "fault-inject")]
-    fn mangle_checkpoint(&self, finished_round: usize, path: &Path) {
-        self.cfg.faults.mangle_after_write(finished_round, path);
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    fn mangle_checkpoint(&self, _finished_round: usize, _path: &Path) {}
 }
 
 /// Fold one round's structured breakdown into the flat telemetry
 /// counters. The single source of truth for both the live loop and the
 /// resume replay — keeping them on one code path is what makes counter
 /// totals match between an uninterrupted run and a crash-plus-resume run
-/// (`increm.provenance_grads` and `cg.warm_start_iters_saved` are the
-/// documented exceptions: neither is part of [`RoundTelemetry`], so
-/// resume cannot replay them).
+/// (`increm.provenance_grads` is the documented exception: it is not
+/// part of [`RoundTelemetry`], so resume cannot replay it).
 pub(crate) fn record_round_counters(tel: &Telemetry, rt: &RoundTelemetry) {
     tel.add("selector.scored", rt.selector.scored as u64);
     tel.add("selector.pruned", rt.selector.pruned as u64);

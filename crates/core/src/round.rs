@@ -215,11 +215,11 @@ impl<'a> RoundLoop<'a> {
 
     /// Drive the loop to the end synchronously: answer every batch at
     /// once with the in-process simulated panel of the pipeline's
-    /// [`AnnotationConfig`](crate::AnnotationConfig) — or, under the
-    /// `fault-inject` feature, with the injected whole-batch timeout —
-    /// then [`Self::finish`]. This is [`Pipeline::run`]'s loop and the
-    /// way to run an out-of-core store or a resumed checkpoint to
-    /// completion.
+    /// [`AnnotationConfig`](crate::AnnotationConfig) — or, in a round
+    /// the [`FaultPlan`](crate::FaultPlan) times out, with the injected
+    /// whole-batch timeout — then [`Self::finish`]. This is
+    /// [`Pipeline::run`]'s loop and the way to run an out-of-core store
+    /// or a resumed checkpoint to completion.
     pub fn run_sync(mut self) -> StorePipelineReport {
         let cfg = self.pipeline.config();
         let annotator = AnnotationPhase::new(cfg.annotation);
@@ -228,7 +228,7 @@ impl<'a> RoundLoop<'a> {
                 RoundStep::Done => return self.finish(),
                 RoundStep::Awaiting(batch) => {
                     let annotate_start = Instant::now();
-                    let (outcomes, ann_stats) = if self.pipeline.annotators_time_out(batch.round) {
+                    let (outcomes, ann_stats) = if cfg.faults.annotators_time_out(batch.round) {
                         // Injected timeout: the whole batch abstains —
                         // labels stay probabilistic, budget slots are
                         // still consumed.
@@ -333,12 +333,6 @@ impl<'a> RoundLoop<'a> {
                 // RoundTelemetry, so a resumed run cannot replay it
                 // (a documented counter divergence, DESIGN.md §12).
                 tel.add("increm.provenance_grads", ps.provenance_grads as u64);
-            }
-            if ps.cg_iters_saved > 0 {
-                // Live-only, like provenance_grads: the warm-start
-                // cache is not persisted, so a resumed run pays a
-                // cold solve and cannot replay the savings.
-                tel.add("cg.warm_start_iters_saved", ps.cg_iters_saved as u64);
             }
         }
 
@@ -538,7 +532,7 @@ impl<'a> RoundLoop<'a> {
                 );
             }
         }
-        if self.pipeline.crash_requested(finished) {
+        if cfg.faults.crash_after_round == Some(finished) {
             self.interrupted = true;
         }
         state.rounds.last().expect("round just pushed")

@@ -8,7 +8,7 @@
 //! independent labeler (§4.3).
 
 use crate::increm::{IncremInfl, IncremSnapshot, IncremStats};
-use crate::influence::{influence_vector_outcome_from, rank_infl_top_b, InflConfig};
+use crate::influence::{influence_vector_outcome, rank_infl_top_b, InflConfig};
 use chef_model::{DatasetStore, Model, WeightedObjective};
 
 /// Everything a selector may look at when ranking the uncleaned pool.
@@ -76,11 +76,6 @@ pub struct SelectorStats {
     /// empty when the kernel path is not `"gemm"` — the per-sample
     /// fallback has no panel kernel).
     pub kernel_backend: &'static str,
-    /// CG iterations the warm start saved this round, estimated against
-    /// the selector's most recent *cold* solve (0 on cold rounds and
-    /// whenever warm starting is off). Live telemetry only — never
-    /// persisted, like `provenance_grads`.
-    pub cg_iters_saved: usize,
 }
 
 /// Serializable selector state captured at a round boundary, so a
@@ -154,18 +149,7 @@ pub struct InflSelector {
     /// Whether to prune with Increm-Infl (initialized lazily on the first
     /// round, which is the paper's "initialization step").
     pub use_increm: bool,
-    /// Whether to warm-start each round's CG solve from the previous
-    /// round's iHVP solution (off by default; the solve still runs to the
-    /// same fixed tolerance either way, only the iteration count moves).
-    pub warm_start_cg: bool,
     increm: Option<IncremInfl>,
-    /// Previous round's iHVP solution, cached for the warm start. Not
-    /// persisted in [`SelectorCheckpoint`]: a resumed pipeline simply
-    /// pays one cold solve on its first round.
-    prev_v: Option<Vec<f64>>,
-    /// Iteration count of the most recent cold solve (the baseline the
-    /// `cg_iters_saved` estimate is measured against).
-    cold_iters: Option<usize>,
     /// Pruning counters of the most recent round (None when running Full).
     pub last_stats: Option<IncremStats>,
     /// Telemetry counters of the most recent round.
@@ -188,13 +172,6 @@ impl InflSelector {
             ..Self::default()
         }
     }
-
-    /// Enable warm-started CG solves across rounds.
-    #[must_use]
-    pub fn with_warm_start(mut self) -> Self {
-        self.warm_start_cg = true;
-        self
-    }
 }
 
 impl SampleSelector for InflSelector {
@@ -211,32 +188,15 @@ impl SampleSelector for InflSelector {
         // solves sketch different training rows (round 0 keeps the base
         // seed, so single-round behaviour is unchanged).
         let round_cfg = self.cfg.for_round(ctx.round);
-        let warm = if self.warm_start_cg {
-            self.prev_v.as_deref()
-        } else {
-            None
-        };
-        let warm_started = warm.is_some();
-        let outcome = influence_vector_outcome_from(
+        let outcome = influence_vector_outcome(
             ctx.model,
             ctx.objective,
             ctx.data,
             ctx.val,
             ctx.w,
             &round_cfg,
-            warm,
         );
-        let cg_iters_saved = if warm_started {
-            self.cold_iters
-                .map_or(0, |cold| cold.saturating_sub(outcome.cg_iters))
-        } else {
-            self.cold_iters = Some(outcome.cg_iters);
-            0
-        };
         let v = outcome.v;
-        if self.warm_start_cg {
-            self.prev_v = Some(v.clone());
-        }
         let mut provenance_grads = 0;
         if self.use_increm && self.increm.is_none() {
             // Initialization step: freeze provenance at w⁽⁰⁾. Costs one
@@ -290,7 +250,6 @@ impl SampleSelector for InflSelector {
                 chef_model::KernelPath::Gemm => ctx.model.kernel_backend().name(),
                 chef_model::KernelPath::PerSample => "",
             },
-            cg_iters_saved,
         });
         scores
             .into_iter()
@@ -462,42 +421,6 @@ mod tests {
         assert!(!first.is_empty());
         // No provenance rebuild on the restored selector.
         assert_eq!(restored.last_phase.unwrap().provenance_grads, 0);
-    }
-
-    #[test]
-    fn warm_start_saves_iterations_and_preserves_selection() {
-        let (model, obj, data, val) = toy();
-        let w = vec![0.05; chef_model::Model::num_params(&model)];
-        let pool = data.uncleaned_indices();
-        let ctx = SelectorContext {
-            model: &model,
-            objective: &obj,
-            data: &data,
-            val: &val,
-            w: &w,
-            pool: &pool,
-            b: 5,
-            round: 0,
-        };
-        let mut cold = InflSelector::full();
-        let mut warm = InflSelector::full().with_warm_start();
-        // Round 0: no cached solution yet, so both run the cold solve and
-        // must agree exactly.
-        let a = cold.select(&ctx);
-        let b = warm.select(&ctx);
-        assert_eq!(a, b);
-        assert_eq!(warm.last_phase.unwrap().cg_iters_saved, 0);
-        // Round 1 at the *same* parameters: the warm start begins at the
-        // exact solution, so it must save every cold iteration (the toy
-        // set is below the subsampling threshold, so the operator is
-        // identical across rounds).
-        let ctx1 = SelectorContext { round: 1, ..ctx };
-        let a1 = cold.select(&ctx1);
-        let b1 = warm.select(&ctx1);
-        assert_eq!(a1, b1);
-        let saved = warm.last_phase.unwrap().cg_iters_saved;
-        assert!(saved > 0, "warm start at the solution saved {saved} iters");
-        assert_eq!(cold.last_phase.unwrap().cg_iters_saved, 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `store.v2` directory carrying per-block checksums) that
 //! [`MmapStore`] serves back through `chef_model::DatasetStore` with
 //! features memory-mapped instead of heap-allocated, integrity
-//! verification eager, first-touch-lazy or off per [`IntegrityMode`],
+//! verification eager or first-touch-lazy per [`IntegrityMode`],
 //! and an optional background verify-and-warm prefetch thread
 //! (`StoreOptions::background_prefetch`; DESIGN.md §15).
 

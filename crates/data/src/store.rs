@@ -59,7 +59,6 @@
 //!   panics with the [`StoreError::Corrupt`] rendering; the fallible
 //!   twins [`MmapStore::verify_rows`] / [`MmapStore::verify_all`]
 //!   surface the error value itself.
-//! * [`Off`](IntegrityMode::Off) — sizes checked, checksums skipped.
 //!
 //! On top of lazy verification sits an optional **background prefetch
 //! pipeline** ([`StoreOptions::background_prefetch`]): a single worker
@@ -687,8 +686,6 @@ pub enum IntegrityMode {
     /// path. Cold-open is O(touched bytes); a corrupt block surfaces
     /// the moment something reads it.
     LazyFirstTouch,
-    /// Skip checksum verification entirely.
-    Off,
 }
 
 /// How an [`MmapStore`] opens its shards.
@@ -778,8 +775,8 @@ struct StoreCore {
     last_touched: AtomicUsize,
     residency_chunks: usize,
     // First-touch verification state; `None` under Eager (already
-    // verified at open) and Off (verification disabled), so the
-    // access-path check is a single Option discriminant load.
+    // verified at open), so the access-path check is a single Option
+    // discriminant load.
     verify: Option<LazyVerify>,
     // Once a corrupt block is seen the whole store is poisoned: every
     // subsequent verified access fails with the same message, whichever
@@ -793,7 +790,9 @@ struct StoreCore {
 /// been checksummed. Bit `b` of `bits[c]` (word `b/64`, bit `b%64`) is
 /// set once block `b` of shard `c` verified clean. Relaxed ordering is
 /// enough: the worst race is two threads verifying the same block once
-/// each — idempotent, and counted honestly by the counters.
+/// each — idempotent. `blocks_verified` counts the block once (for the
+/// thread whose `fetch_or` sets its bit); `verify_ns` records both
+/// hashes, since both were paid.
 #[derive(Debug)]
 struct LazyVerify {
     bits: Vec<Vec<AtomicU64>>,
@@ -1048,7 +1047,7 @@ impl MmapStore {
 
     /// Verify (first-touch) every not-yet-verified block covering rows
     /// `lo..hi`, returning the corruption instead of panicking. A no-op
-    /// under [`IntegrityMode::Eager`] / [`IntegrityMode::Off`].
+    /// under [`IntegrityMode::Eager`].
     pub fn verify_rows(&self, lo: usize, hi: usize) -> Result<(), StoreError> {
         assert!(
             lo <= hi && hi <= self.core.manifest.n,
@@ -1188,8 +1187,10 @@ impl StoreCore {
             self.poison(&msg);
             return Err(StoreError::Corrupt(msg));
         }
-        self.stats.blocks_verified.fetch_add(1, Ordering::Relaxed);
-        v.bits[c][b / 64].fetch_or(1u64 << (b % 64), Ordering::Relaxed);
+        let bit = 1u64 << (b % 64);
+        if v.bits[c][b / 64].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
+            self.stats.blocks_verified.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -1692,11 +1693,7 @@ mod tests {
         };
         fs::write(dir.join(MANIFEST_FILE), m1.render()).unwrap();
         fs::remove_file(dir.join(MANIFEST_FILE_V2)).unwrap();
-        for integrity in [
-            IntegrityMode::Eager,
-            IntegrityMode::LazyFirstTouch,
-            IntegrityMode::Off,
-        ] {
+        for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
             let store = MmapStore::open_with(
                 &dir,
                 StoreOptions {
@@ -1902,16 +1899,18 @@ mod tests {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected checksum error, got {other:?}"),
         }
-        // With verification off the torn shard goes undetected — which
-        // is exactly why integrity defaults to Eager.
-        assert!(MmapStore::open_with(
+        // A lazy open defers the checksum, so it succeeds; the torn
+        // shard surfaces as soon as its block is verified.
+        let lazy = MmapStore::open_with(
             &dir,
             StoreOptions {
-                integrity: IntegrityMode::Off,
+                integrity: IntegrityMode::LazyFirstTouch,
+                background_prefetch: false,
                 ..StoreOptions::default()
-            }
+            },
         )
-        .is_ok());
+        .expect("lazy open must not checksum shard bytes");
+        assert!(matches!(lazy.verify_all(), Err(StoreError::Corrupt(_))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

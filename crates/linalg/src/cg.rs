@@ -85,68 +85,9 @@ pub fn conjugate_gradient<Op: LinearOperator + ?Sized>(
 ) -> CgOutcome {
     let n = op.dim();
     assert_eq!(b.len(), n, "conjugate_gradient: rhs dimension mismatch");
-    let x = vec![0.0; n];
+    let mut x = vec![0.0; n];
     // r = b - A x = b at x = 0.
-    let r = b.to_vec();
-    cg_loop(op, b, x, r, cfg)
-}
-
-/// Solve `(A + damping·I) x = b` starting from the initial guess `x0`.
-///
-/// Warm-started conjugate gradients: identical arithmetic to
-/// [`conjugate_gradient`] except the initial residual is
-/// `r₀ = b − (A + damping·I) x₀` (one extra operator application). A
-/// good `x0` — e.g. the previous round's iHVP solution, when `w` and the
-/// validation gradient moved only slightly — reduces the *iteration
-/// count*; the returned solution still satisfies the same
-/// `‖b − A x‖ ≤ tol · max(‖b‖, 1)` stopping criterion, so downstream
-/// consumers see a solution of the same quality, not a different answer
-/// class. Passing `x0 = 0` reproduces the cold-start residual exactly
-/// but pays the extra apply; use [`conjugate_gradient`] for that case.
-///
-/// Panics if `b` or `x0` is not the operator's dimension.
-pub fn conjugate_gradient_from<Op: LinearOperator + ?Sized>(
-    op: &Op,
-    b: &[f64],
-    x0: &[f64],
-    cfg: &CgConfig,
-) -> CgOutcome {
-    let n = op.dim();
-    assert_eq!(
-        b.len(),
-        n,
-        "conjugate_gradient_from: rhs dimension mismatch"
-    );
-    assert_eq!(
-        x0.len(),
-        n,
-        "conjugate_gradient_from: guess dimension mismatch"
-    );
-    let x = x0.to_vec();
-    // r = b - (A + damping·I) x0.
-    let mut r = vec![0.0; n];
-    op.apply(x0, &mut r);
-    if cfg.damping != 0.0 {
-        vector::axpy(cfg.damping, x0, &mut r);
-    }
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    cg_loop(op, b, x, r, cfg)
-}
-
-/// The shared CG iteration: standard unpreconditioned conjugate
-/// gradients from an already-formed initial iterate/residual pair. Both
-/// entry points funnel here so the cold-start path stays bit-identical
-/// while the warm start only changes where the iteration begins.
-fn cg_loop<Op: LinearOperator + ?Sized>(
-    op: &Op,
-    b: &[f64],
-    mut x: Vec<f64>,
-    mut r: Vec<f64>,
-    cfg: &CgConfig,
-) -> CgOutcome {
-    let n = op.dim();
+    let mut r = b.to_vec();
     let mut p = r.clone();
     let mut ap = vec![0.0; n];
     let bnorm = vector::norm2(b).max(1.0);
@@ -275,67 +216,6 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.iters, 0);
         assert!(out.x.iter().all(|v| *v == 0.0));
-    }
-
-    #[test]
-    fn warm_start_from_zero_matches_cold_start_bitwise() {
-        let a = spd(12, 9);
-        let xs: Vec<f64> = (0..12).map(|i| (i as f64 * 0.61).cos()).collect();
-        let mut b = vec![0.0; 12];
-        a.matvec(&xs, &mut b);
-        let cold = conjugate_gradient(&a, &b, &CgConfig::default());
-        let warm = conjugate_gradient_from(&a, &b, &[0.0; 12], &CgConfig::default());
-        assert_eq!(cold.iters, warm.iters);
-        assert_eq!(cold.x, warm.x);
-    }
-
-    #[test]
-    fn warm_start_at_solution_converges_immediately() {
-        let a = spd(10, 4);
-        let xs: Vec<f64> = (0..10).map(|i| (i as f64 * 0.53).sin()).collect();
-        let mut b = vec![0.0; 10];
-        a.matvec(&xs, &mut b);
-        let cold = conjugate_gradient(&a, &b, &CgConfig::default());
-        let warm = conjugate_gradient_from(&a, &b, &cold.x, &CgConfig::default());
-        assert!(warm.converged);
-        assert_eq!(warm.iters, 0);
-        assert_eq!(warm.x, cold.x);
-    }
-
-    #[test]
-    fn warm_start_near_solution_saves_iterations() {
-        let a = spd(24, 11);
-        let xs: Vec<f64> = (0..24).map(|i| (i as f64 * 0.29).sin()).collect();
-        let mut b = vec![0.0; 24];
-        a.matvec(&xs, &mut b);
-        let cold = conjugate_gradient(&a, &b, &CgConfig::default());
-        // Perturb the true solution slightly: a realistic "previous round".
-        let near: Vec<f64> = cold.x.iter().map(|v| v + 1e-6).collect();
-        let warm = conjugate_gradient_from(&a, &b, &near, &CgConfig::default());
-        assert!(warm.converged);
-        assert!(
-            warm.iters < cold.iters,
-            "warm {} vs cold {}",
-            warm.iters,
-            cold.iters
-        );
-        // Same fixed tolerance — the solution quality is unchanged.
-        for (wv, cv) in warm.x.iter().zip(&cold.x) {
-            assert!((wv - cv).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn warm_start_respects_damping() {
-        let a = Matrix::identity(3);
-        let cfg = CgConfig {
-            damping: 1.0,
-            ..CgConfig::default()
-        };
-        // (I + I) x = b → x = b/2; start from the exact solution.
-        let out = conjugate_gradient_from(&a, &[2.0, 4.0, 6.0], &[1.0, 2.0, 3.0], &cfg);
-        assert!(out.converged);
-        assert_eq!(out.iters, 0);
     }
 
     #[test]

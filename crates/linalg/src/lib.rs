@@ -30,7 +30,7 @@ pub mod power;
 pub mod stats;
 pub mod vector;
 
-pub use cg::{conjugate_gradient, conjugate_gradient_from, CgConfig, CgOutcome, LinearOperator};
+pub use cg::{conjugate_gradient, CgConfig, CgOutcome, LinearOperator};
 pub use kernels::{KernelBackend, Workspace};
 pub use lbfgs::LbfgsBuffer;
 pub use matrix::Matrix;

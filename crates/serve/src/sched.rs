@@ -159,7 +159,6 @@ struct JobTask {
     resume_from: Option<PathBuf>,
     annotation: AnnotationConfig,
     job_tel: Telemetry,
-    #[cfg(feature = "fault-inject")]
     faults: chef_core::FaultPlan,
     /// First slice emits `job_start` and builds/resumes the loop.
     started: bool,
@@ -674,7 +673,6 @@ impl JobTask {
         } = req;
         let annotation = cfg.annotation;
         let job_tel = cfg.telemetry.clone();
-        #[cfg(feature = "fault-inject")]
         let faults = cfg.faults.clone();
         Self {
             id,
@@ -689,7 +687,6 @@ impl JobTask {
             resume_from,
             annotation,
             job_tel,
-            #[cfg(feature = "fault-inject")]
             faults,
             started: false,
             suspended: None,
@@ -835,7 +832,6 @@ impl JobTask {
             batch: batch.clone(),
         });
 
-        #[cfg(feature = "fault-inject")]
         if self.faults.kill_requested(batch.round) {
             // Simulated kill -9 at the await point: the batch is out, no
             // outcome of this round was applied, and whatever checkpoint

@@ -45,8 +45,7 @@ impl Default for SgdConfig {
 ///
 /// The per-iteration matrices live in flat [`TraceStore`] arenas (one
 /// allocation each, rows at `t·m`); the handful of per-epoch checkpoints
-/// stay as plain vectors since they are cloned out individually by early
-/// stopping and warm starts.
+/// stay as plain vectors since early stopping reads them individually.
 #[derive(Debug, Clone)]
 pub struct TrainTrace {
     /// The minibatch plan (replayable; stores no index lists).

@@ -3,17 +3,17 @@
 //!
 //! The build container cannot reach crates.io, so the real rayon cannot
 //! be fetched; this shim keeps the same call-site API (`par_iter`,
-//! `into_par_iter`, `map`, `map_init`, `fold`+`reduce`, `for_each`,
-//! `sum`, `collect`) while making one *stronger* guarantee the selector
-//! hot path relies on:
+//! `into_par_iter`, `map`, `map_init`, `for_each`, `collect`) while
+//! making one *stronger* guarantee the selector hot path relies on:
 //!
 //! **Deterministic chunking.** An input of length `n` is always split
 //! into `min(n, 64)` contiguous chunks whose boundaries depend only on
 //! `n` — never on the worker count. Chunk results are combined in chunk
-//! order. Consequently `fold(..).reduce(..)` produces the *same*
-//! floating-point reduction order no matter how many threads run (or
-//! whether `RAYON_NUM_THREADS=1`), so parallel gradient sums are
-//! reproducible run-to-run and machine-to-machine.
+//! order. Consequently `map_init` creates its per-chunk state at the
+//! same boundaries no matter how many threads run (or whether
+//! `RAYON_NUM_THREADS=1`), and a caller that collects per-chunk partial
+//! sums and adds them in order gets the same floating-point reduction
+//! run-to-run and machine-to-machine.
 //!
 //! Scheduling is work-sharing rather than work-stealing: workers pull
 //! the next unclaimed chunk off an atomic counter, which load-balances
@@ -228,16 +228,6 @@ where
         }
     }
 
-    /// Number of items the pipeline will produce.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pipeline is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Transform each item (lazy; composes with the producer).
     pub fn map<U, G>(self, g: G) -> Par<U, impl Fn(usize) -> U + Sync>
     where
@@ -283,51 +273,10 @@ where
         let f = &self.f;
         run_chunks(self.len, move |range| range.for_each(|i| g(f(i))));
     }
-
-    /// Chunk-local fold (rayon's `fold`): `identity` seeds one
-    /// accumulator per chunk, `fold_op` absorbs that chunk's items in
-    /// order. Combine the per-chunk accumulators with
-    /// [`ParFolded::reduce`].
-    pub fn fold<Acc, ID, FO>(self, identity: ID, fold_op: FO) -> ParFolded<Acc>
-    where
-        Acc: Send,
-        ID: Fn() -> Acc + Sync,
-        FO: Fn(Acc, T) -> Acc + Sync,
-    {
-        let f = &self.f;
-        let accs = run_chunks(self.len, move |range| {
-            range.fold(identity(), |acc, i| fold_op(acc, f(i)))
-        });
-        ParFolded { accs }
-    }
-
-    /// Parallel reduction: identity-seeded per chunk, chunk results
-    /// combined in chunk order (deterministic).
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> T
-    where
-        ID: Fn() -> T + Sync,
-        OP: Fn(T, T) -> T + Sync,
-    {
-        self.fold(&identity, &op)
-            .accs
-            .into_iter()
-            .fold(identity(), op)
-    }
-
-    /// Parallel sum (chunk partial sums added in chunk order).
-    pub fn sum<S>(self) -> S
-    where
-        S: Send + std::iter::Sum<T> + std::iter::Sum<S>,
-    {
-        let f = &self.f;
-        run_chunks(self.len, move |range| range.map(f).sum::<S>())
-            .into_iter()
-            .sum()
-    }
 }
 
-/// Items already evaluated by a terminal `map_init`; only `collect` (and
-/// friends) remain.
+/// Items already evaluated by a terminal `map_init`; only `collect`
+/// remains.
 pub struct ParCollected<T> {
     items: Vec<T>,
 }
@@ -336,23 +285,6 @@ impl<T> ParCollected<T> {
     /// The evaluated items, in input order.
     pub fn collect<C: From<Vec<T>>>(self) -> C {
         C::from(self.items)
-    }
-}
-
-/// Per-chunk accumulators produced by [`Par::fold`], combined in chunk
-/// order by [`Self::reduce`].
-pub struct ParFolded<Acc> {
-    accs: Vec<Acc>,
-}
-
-impl<Acc> ParFolded<Acc> {
-    /// Sequentially combine the chunk accumulators (deterministic order).
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> Acc
-    where
-        ID: Fn() -> Acc,
-        OP: Fn(Acc, Acc) -> Acc,
-    {
-        self.accs.into_iter().fold(identity(), op)
     }
 }
 
@@ -446,26 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_reduce_is_deterministic_and_correct() {
-        let v: Vec<f64> = (0..50_000).map(|i| (i as f64).sin()).collect();
-        let reference: f64 = {
-            // Same chunked order as the parallel path, computed serially.
-            let parts: Vec<f64> = chunk_bounds(v.len())
-                .into_iter()
-                .map(|r| r.map(|i| v[i]).sum())
-                .collect();
-            parts.iter().sum()
-        };
-        for _ in 0..3 {
-            let par: f64 = v
-                .par_iter()
-                .fold(|| 0.0, |acc, &x| acc + x)
-                .reduce(|| 0.0, |a, b| a + b);
-            assert_eq!(par.to_bits(), reference.to_bits());
-        }
-    }
-
-    #[test]
     fn map_init_runs_once_per_chunk() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let inits = AtomicUsize::new(0);
@@ -485,12 +397,6 @@ mod tests {
             .collect();
         assert_eq!(out, v);
         assert!(inits.load(Ordering::Relaxed) <= MAX_CHUNKS);
-    }
-
-    #[test]
-    fn sum_matches_serial() {
-        let total: usize = (0..1_000usize).into_par_iter().sum();
-        assert_eq!(total, 499_500);
     }
 
     fn pool(n: usize) -> ThreadPool {

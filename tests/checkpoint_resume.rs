@@ -1,6 +1,6 @@
 //! Replay-equivalence harness for the checkpoint/resume subsystem
 //! (DESIGN.md §12), driven by deterministic fault injection
-//! (`--features fault-inject`).
+//! (`PipelineConfig::faults`).
 //!
 //! The core claim under test: run the pipeline to round `R`, kill it,
 //! resume from the surviving `checkpoint.v1` generation, let it finish —
@@ -13,7 +13,8 @@
 //! `PipelineReport::total_select_time`/`total_update_time` aggregate
 //! correctly across a crash.
 //!
-//! ci.sh runs the whole file with `--features fault-inject`.
+//! ci.sh runs the whole file in both workspace lanes (1 and 4 rayon
+//! workers).
 
 use chef_core::{
     AnnotationConfig, CheckpointConfig, CheckpointError, ConstructorKind, FaultPlan, InflSelector,

@@ -1,6 +1,7 @@
-//! Fault-injection harness for the chef-serve daemon (`--features
-//! fault-inject`): kill-mid-round, torn-checkpoint-under-serve, and the
-//! stale-traffic-after-resume drills, all deterministic and sleep-free.
+//! Fault-injection harness for the chef-serve daemon
+//! (`PipelineConfig::faults`): kill-mid-round,
+//! torn-checkpoint-under-serve, and the stale-traffic-after-resume
+//! drills, all deterministic and sleep-free.
 //!
 //! The acceptance scenario lives here too: N=3 concurrent tenants with
 //! out-of-order annotators, one job killed at the awaiting-annotation
@@ -9,8 +10,8 @@
 //! the variant where a timed-out batch abstains identically to the
 //! synchronous injected-timeout path.
 //!
-//! ci.sh runs this file with `--features fault-inject` at 1 and 4
-//! scheduler workers.
+//! ci.sh runs this file in both workspace lanes, at 1 and 4 scheduler
+//! workers.
 
 use chef_core::{
     AnnotationConfig, CheckpointConfig, FaultPlan, InflSelector, LabelStrategy, Pipeline,

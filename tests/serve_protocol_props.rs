@@ -377,6 +377,20 @@ fn zero_valued_specs_are_bad_spec() {
     );
 }
 
+/// Every build carries `PipelineConfig::faults`, so the spec parser is
+/// what keeps a client from injecting faults into the daemon: a spec
+/// naming the plan's fields (or the plan itself) still yields a job
+/// with the empty plan.
+#[test]
+fn specs_cannot_reach_fault_injection() {
+    let spec = r#"{"name": "f", "dataset": "MIMIC", "scale": 30, "seed": 5, "budget": 10, "round_size": 5,
+        "crash_after_round": 0, "kill_mid_round": 1,
+        "faults": {"crash_after_round": 0, "kill_mid_round": 1, "torn_write_after_round": 0,
+                   "bitflip_after_round": 0, "annotator_timeout_rounds": [0, 1]}}"#;
+    let req = chef_serve::job_request_from_spec(spec).expect("extra keys are ignored");
+    assert_eq!(req.cfg.faults, chef_core::FaultPlan::default());
+}
+
 /// A payload that *contains* something shaped like a frame header must
 /// not confuse the codec: the length prefix wins over line structure.
 #[test]

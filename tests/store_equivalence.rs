@@ -15,21 +15,22 @@
 //! harness also covers the integrity axis: `LazyFirstTouch` (with and
 //! without the background prefetcher) must be bit-identical to `Eager`,
 //! and a `store.v1` directory (no per-block checksum table) must still
-//! open and produce the same bits. With `fault-inject`, the same
-//! equivalence is asserted through a crash + `checkpoint.v1` resume on
-//! a freshly opened store, and corruption lanes check that a bit-flip
-//! slips past a lazy open but is caught on first touch of its block.
+//! open and produce the same bits. The same equivalence is asserted
+//! through an injected crash + `checkpoint.v1` resume on a freshly
+//! opened store, and corruption lanes check that a bit-flip slips past
+//! a lazy open but is caught on first touch of its block.
 //!
 //! Like the other equivalence suites, ci.sh runs this file at 1 and 4
 //! rayon workers: the serial and parallel kernel paths must both uphold
 //! the storage-independence claim.
 
 use chef_core::{
-    AnnotationConfig, ConstructorKind, InflSelector, LabelStrategy, Pipeline, PipelineConfig,
-    StorePipelineReport,
+    AnnotationConfig, CheckpointConfig, ConstructorKind, FaultPlan, InflSelector, LabelStrategy,
+    Pipeline, PipelineConfig, StorePipelineReport,
 };
 use chef_data::{
-    generate_train_store, DatasetKind, DatasetSpec, IntegrityMode, MmapStore, StoreOptions,
+    generate_train_store, DatasetKind, DatasetSpec, IntegrityMode, MmapStore, StoreError,
+    StoreOptions,
 };
 use chef_linalg::Workspace;
 use chef_model::{Dataset, DatasetStore, LogisticRegression, Model, WeightedObjective};
@@ -290,11 +291,7 @@ fn v1_manifest_store_is_still_bit_identical() {
     std::fs::remove_file(&v2_path).unwrap();
 
     let mem = run_in_memory(&dir, ConstructorKind::Retrain, false, &val, &test);
-    for integrity in [
-        IntegrityMode::Eager,
-        IntegrityMode::LazyFirstTouch,
-        IntegrityMode::Off,
-    ] {
+    for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
         let store = run_on_store(
             &dir,
             StoreOptions {
@@ -382,137 +379,130 @@ fn scattered_grad_block_enters_each_shard_once() {
 /// Crash-recovery on an out-of-core store: kill the run mid-loop, then
 /// resume on a **freshly opened** store (as a restarted process would)
 /// and require the outcome to match an uninterrupted store run.
-#[cfg(feature = "fault-inject")]
-mod fault_inject {
-    use super::*;
-    use chef_core::{CheckpointConfig, FaultPlan};
-    use chef_data::StoreError;
-
-    #[test]
-    fn checkpoint_resume_works_on_mmap_store() {
-        let (dir, val, test) = make_store("resume");
-        let ck_ref = std::env::temp_dir().join(format!("chef-seq-ck-ref-{}", std::process::id()));
-        let ck_int = std::env::temp_dir().join(format!("chef-seq-ck-int-{}", std::process::id()));
-        for d in [&ck_ref, &ck_int] {
-            let _ = std::fs::remove_dir_all(d);
-        }
-        let model = LogisticRegression::new(6, 2);
-        let with_ck = |ck: &PathBuf, faults: FaultPlan| {
-            let mut cfg = config(ConstructorKind::Retrain);
-            cfg.checkpoint = Some(CheckpointConfig {
-                dir: ck.clone(),
-                every_rounds: 1,
-                keep: 3,
-            });
-            cfg.faults = faults;
-            Pipeline::new(cfg)
-        };
-
-        // Reference: uninterrupted run on the store.
-        let mut store = MmapStore::open(&dir).expect("open store");
-        random_probabilistic_labels(&mut store, WEAKEN_SEED);
-        let mut sel = selector(false);
-        let reference = with_ck(&ck_ref, FaultPlan::default())
-            .round_loop(&model, &mut store, &val, &test, &mut sel)
-            .run_sync();
-        assert!(!reference.interrupted);
-
-        // Interrupted: crash after round 0, checkpoint survives.
-        let mut store = MmapStore::open(&dir).expect("open store");
-        random_probabilistic_labels(&mut store, WEAKEN_SEED);
-        let mut sel = selector(false);
-        let interrupted = with_ck(&ck_int, FaultPlan::crash_after(0))
-            .round_loop(&model, &mut store, &val, &test, &mut sel)
-            .run_sync();
-        assert!(interrupted.interrupted);
-
-        // Resume on a freshly opened store, as a restarted process
-        // would: re-open, re-weaken (the run's pristine starting state),
-        // replay label patches, finish.
-        let mut store = MmapStore::open(&dir).expect("open store");
-        random_probabilistic_labels(&mut store, WEAKEN_SEED);
-        let mut sel = selector(false);
-        let resumed = with_ck(&ck_int, FaultPlan::default())
-            .resume_round_loop_latest(&model, &mut store, &val, &test, &mut sel, &ck_int)
-            .expect("resume_round_loop_latest")
-            .run_sync();
-        assert!(!resumed.interrupted);
-
-        assert_bits_eq(&reference.final_w, &resumed.final_w, "final_w");
-        assert_bits_eq(&reference.final_w_raw, &resumed.final_w_raw, "final_w_raw");
-        assert_eq!(reference.cleaned_total, resumed.cleaned_total);
-        assert_eq!(reference.rounds.len(), resumed.rounds.len());
-        for (k, (a, b)) in reference.rounds.iter().zip(&resumed.rounds).enumerate() {
-            let sel_a: Vec<_> = a.selected.iter().map(|s| (s.index, s.suggested)).collect();
-            let sel_b: Vec<_> = b.selected.iter().map(|s| (s.index, s.suggested)).collect();
-            assert_eq!(sel_a, sel_b, "round {k} selections");
-        }
-        // The cleaned labels live on the resumed store itself.
-        let cleaned = store.num_clean();
-        assert_eq!(cleaned, resumed.cleaned_total);
-
-        for d in [&dir, &ck_ref, &ck_int] {
-            std::fs::remove_dir_all(d).unwrap();
-        }
+#[test]
+fn checkpoint_resume_works_on_mmap_store() {
+    let (dir, val, test) = make_store("resume");
+    let ck_ref = std::env::temp_dir().join(format!("chef-seq-ck-ref-{}", std::process::id()));
+    let ck_int = std::env::temp_dir().join(format!("chef-seq-ck-int-{}", std::process::id()));
+    for d in [&ck_ref, &ck_int] {
+        let _ = std::fs::remove_dir_all(d);
     }
+    let model = LogisticRegression::new(6, 2);
+    let with_ck = |ck: &PathBuf, faults: FaultPlan| {
+        let mut cfg = config(ConstructorKind::Retrain);
+        cfg.checkpoint = Some(CheckpointConfig {
+            dir: ck.clone(),
+            every_rounds: 1,
+            keep: 3,
+        });
+        cfg.faults = faults;
+        Pipeline::new(cfg)
+    };
 
-    #[test]
-    fn torn_shard_is_rejected_at_open() {
-        let (dir, _val, _test) = make_store("torn");
-        let chunk = dir.join(chef_data::store::chunk_file_name(2));
-        let bytes = std::fs::read(&chunk).unwrap();
-        std::fs::write(&chunk, &bytes[..bytes.len() - 16]).unwrap();
-        assert!(matches!(MmapStore::open(&dir), Err(StoreError::Corrupt(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
+    // Reference: uninterrupted run on the store.
+    let mut store = MmapStore::open(&dir).expect("open store");
+    random_probabilistic_labels(&mut store, WEAKEN_SEED);
+    let mut sel = selector(false);
+    let reference = with_ck(&ck_ref, FaultPlan::default())
+        .round_loop(&model, &mut store, &val, &test, &mut sel)
+        .run_sync();
+    assert!(!reference.interrupted);
+
+    // Interrupted: crash after round 0, checkpoint survives.
+    let mut store = MmapStore::open(&dir).expect("open store");
+    random_probabilistic_labels(&mut store, WEAKEN_SEED);
+    let mut sel = selector(false);
+    let interrupted = with_ck(&ck_int, FaultPlan::crash_after(0))
+        .round_loop(&model, &mut store, &val, &test, &mut sel)
+        .run_sync();
+    assert!(interrupted.interrupted);
+
+    // Resume on a freshly opened store, as a restarted process
+    // would: re-open, re-weaken (the run's pristine starting state),
+    // replay label patches, finish.
+    let mut store = MmapStore::open(&dir).expect("open store");
+    random_probabilistic_labels(&mut store, WEAKEN_SEED);
+    let mut sel = selector(false);
+    let resumed = with_ck(&ck_int, FaultPlan::default())
+        .resume_round_loop_latest(&model, &mut store, &val, &test, &mut sel, &ck_int)
+        .expect("resume_round_loop_latest")
+        .run_sync();
+    assert!(!resumed.interrupted);
+
+    assert_bits_eq(&reference.final_w, &resumed.final_w, "final_w");
+    assert_bits_eq(&reference.final_w_raw, &resumed.final_w_raw, "final_w_raw");
+    assert_eq!(reference.cleaned_total, resumed.cleaned_total);
+    assert_eq!(reference.rounds.len(), resumed.rounds.len());
+    for (k, (a, b)) in reference.rounds.iter().zip(&resumed.rounds).enumerate() {
+        let sel_a: Vec<_> = a.selected.iter().map(|s| (s.index, s.suggested)).collect();
+        let sel_b: Vec<_> = b.selected.iter().map(|s| (s.index, s.suggested)).collect();
+        assert_eq!(sel_a, sel_b, "round {k} selections");
     }
+    // The cleaned labels live on the resumed store itself.
+    let cleaned = store.num_clean();
+    assert_eq!(cleaned, resumed.cleaned_total);
 
-    #[test]
-    fn unknown_store_version_is_rejected_at_open() {
-        let (dir, _val, _test) = make_store("version");
-        let manifest = dir.join(chef_data::store::MANIFEST_FILE_V2);
-        let text = std::fs::read_to_string(&manifest).unwrap();
-        std::fs::write(&manifest, text.replacen("v2", "v9", 1)).unwrap();
-        assert!(matches!(MmapStore::open(&dir), Err(StoreError::Version(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
+    for d in [&dir, &ck_ref, &ck_int] {
+        std::fs::remove_dir_all(d).unwrap();
     }
+}
 
-    #[test]
-    fn bitflip_passes_lazy_open_but_fails_on_first_touch() {
-        // A flipped bit deep in the last shard: eager open must reject
-        // it up front; a lazy open must succeed in O(manifest) work and
-        // then surface `Corrupt` exactly when the damaged block is first
-        // touched — after which the store stays poisoned.
-        let (dir, _val, _test) = make_store("bitflip");
-        let chunk = dir.join(chef_data::store::chunk_file_name(4));
-        let mut bytes = std::fs::read(&chunk).unwrap();
-        let last = bytes.len() - 9;
-        bytes[last] ^= 0x10;
-        std::fs::write(&chunk, &bytes).unwrap();
+#[test]
+fn torn_shard_is_rejected_at_open() {
+    let (dir, _val, _test) = make_store("torn");
+    let chunk = dir.join(chef_data::store::chunk_file_name(2));
+    let bytes = std::fs::read(&chunk).unwrap();
+    std::fs::write(&chunk, &bytes[..bytes.len() - 16]).unwrap();
+    assert!(matches!(MmapStore::open(&dir), Err(StoreError::Corrupt(_))));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
-        assert!(matches!(MmapStore::open(&dir), Err(StoreError::Corrupt(_))));
+#[test]
+fn unknown_store_version_is_rejected_at_open() {
+    let (dir, _val, _test) = make_store("version");
+    let manifest = dir.join(chef_data::store::MANIFEST_FILE_V2);
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(&manifest, text.replacen("v2", "v9", 1)).unwrap();
+    assert!(matches!(MmapStore::open(&dir), Err(StoreError::Version(_))));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
-        let store = MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::LazyFirstTouch,
-                background_prefetch: false,
-                ..StoreOptions::default()
-            },
-        )
-        .expect("lazy open must not touch shard bytes");
-        // Earlier shards are intact and verify on demand.
-        store.verify_rows(0, 4 * CHUNK_ROWS).expect("clean shards");
-        // First touch of the damaged shard's block reports corruption...
-        assert!(matches!(
-            store.verify_rows(4 * CHUNK_ROWS, store.len()),
-            Err(StoreError::Corrupt(_))
-        ));
-        // ...and the store is poisoned from then on, even for ranges
-        // that verified fine before.
-        assert!(matches!(
-            store.verify_rows(0, CHUNK_ROWS),
-            Err(StoreError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+#[test]
+fn bitflip_passes_lazy_open_but_fails_on_first_touch() {
+    // A flipped bit deep in the last shard: eager open must reject
+    // it up front; a lazy open must succeed in O(manifest) work and
+    // then surface `Corrupt` exactly when the damaged block is first
+    // touched — after which the store stays poisoned.
+    let (dir, _val, _test) = make_store("bitflip");
+    let chunk = dir.join(chef_data::store::chunk_file_name(4));
+    let mut bytes = std::fs::read(&chunk).unwrap();
+    let last = bytes.len() - 9;
+    bytes[last] ^= 0x10;
+    std::fs::write(&chunk, &bytes).unwrap();
+
+    assert!(matches!(MmapStore::open(&dir), Err(StoreError::Corrupt(_))));
+
+    let store = MmapStore::open_with(
+        &dir,
+        StoreOptions {
+            integrity: IntegrityMode::LazyFirstTouch,
+            background_prefetch: false,
+            ..StoreOptions::default()
+        },
+    )
+    .expect("lazy open must not touch shard bytes");
+    // Earlier shards are intact and verify on demand.
+    store.verify_rows(0, 4 * CHUNK_ROWS).expect("clean shards");
+    // First touch of the damaged shard's block reports corruption...
+    assert!(matches!(
+        store.verify_rows(4 * CHUNK_ROWS, store.len()),
+        Err(StoreError::Corrupt(_))
+    ));
+    // ...and the store is poisoned from then on, even for ranges
+    // that verified fine before.
+    assert!(matches!(
+        store.verify_rows(0, CHUNK_ROWS),
+        Err(StoreError::Corrupt(_))
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
