@@ -87,7 +87,10 @@ cargo run -q --release -p chef-serve --bin serve_scale -- --quick
 echo "==> infl_kernels bench (quick smoke: batched kernels run end-to-end at 1/2 workers)"
 cargo run -q --release -p chef-bench --bin infl_kernels -- --quick --threads 1,2
 
-echo "==> par_speedup bench (quick smoke: in-process thread sweep at 1/2/4 workers)"
+# par_speedup also asserts that the Increm-Infl snapshot holds exactly
+# m + n·(C + 1) floats (w⁽⁰⁾ and the Hessian norms), so per-sample
+# gradient rows cannot come back into the provenance unnoticed.
+echo "==> par_speedup bench (quick smoke: in-process thread sweep at 1/2/4 workers + provenance size)"
 cargo run -q --release -p chef-bench --bin par_speedup -- --quick --threads 1,2,4
 
 echo "==> train_kernels bench (quick smoke at 1/2 workers)"

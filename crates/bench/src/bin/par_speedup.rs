@@ -3,7 +3,9 @@
 //!
 //! Times one Infl ranking pass (`rank_infl_with_vector`) and one
 //! Increm-Infl bound pass (`IncremInfl::candidates`) at n ∈ {10k, 50k,
-//! 200k} candidates. "serial" is the same call under a 1-worker pool,
+//! 200k} candidates, and records the size of each n's Increm-Infl
+//! snapshot (`provenance_f64s`), asserting it is `m + n·(C + 1)`: `w⁽⁰⁾`
+//! and the Hessian norms, no gradient row. "serial" is the same call under a 1-worker pool,
 //! "parallel" the call under the swept pool size, so the t = 1 rows
 //! compare a code path with itself (≈ 1.0 by construction). Each thread
 //! count runs in-process under a scoped pool (see `chef_bench::sweep`);
@@ -59,6 +61,7 @@ fn once_ms<R>(mut f: impl FnMut() -> R) -> f64 {
 
 struct Case {
     n: usize,
+    provenance_f64s: usize,
     rank_serial_ms: f64,
     rank_parallel_ms: f64,
     bounds_serial_ms: f64,
@@ -80,6 +83,15 @@ fn run_case(n: usize, reps: usize) -> Case {
     };
     let w0 = train(&model, &obj, data, &model.initial_params(0), &sgd).w;
     let increm = IncremInfl::initialize(&model, data, &w0);
+    let snap = increm.snapshot();
+    let provenance_f64s =
+        snap.w0.len() + snap.hessian_norms0.len() + snap.class_hessian_norms0.len();
+    let (m, c) = (model.num_params(), model.num_classes());
+    assert_eq!(
+        provenance_f64s,
+        m + n * (c + 1),
+        "the Increm-Infl snapshot must hold w0 and n·(C+1) Hessian norms only"
+    );
     let w_k = train(&model, &obj, data, &w0, &SgdConfig { epochs: 1, ..sgd }).w;
     let v = influence_vector(&model, &obj, data, val, &w_k, &InflConfig::default());
     let pool = data.uncleaned_indices();
@@ -120,6 +132,7 @@ fn run_case(n: usize, reps: usize) -> Case {
     }
     Case {
         n,
+        provenance_f64s,
         rank_serial_ms,
         rank_parallel_ms,
         bounds_serial_ms,
@@ -133,8 +146,9 @@ fn measure(sizes: &[usize], reps: usize) -> Vec<Case> {
     for &n in sizes {
         let c = run_case(n, reps);
         println!(
-            "n={:>7}  rank: serial {:.2} ms / parallel {:.2} ms ({:.2}x)   bounds: serial {:.2} ms / parallel {:.2} ms ({:.2}x)",
+            "n={:>7}  provenance_f64s={}  rank: serial {:.2} ms / parallel {:.2} ms ({:.2}x)   bounds: serial {:.2} ms / parallel {:.2} ms ({:.2}x)",
             c.n,
+            c.provenance_f64s,
             c.rank_serial_ms,
             c.rank_parallel_ms,
             c.rank_serial_ms / c.rank_parallel_ms,
@@ -154,6 +168,7 @@ fn results_fragment(cases: &[Case]) -> String {
     for c in cases {
         w.begin_object();
         w.field_u64("n", c.n as u64);
+        w.field_u64("provenance_f64s", c.provenance_f64s as u64);
         for (section, serial, parallel) in [
             ("rank_infl", c.rank_serial_ms, c.rank_parallel_ms),
             ("increm_bounds", c.bounds_serial_ms, c.bounds_parallel_ms),

@@ -1,20 +1,21 @@
-//! Durable round-boundary checkpoints: the `checkpoint.v1` format.
+//! Durable round-boundary checkpoints: the `checkpoint.v2` format.
 //!
 //! CHEF's loop runs for many rounds against a human budget; a crash must
 //! not discard completed cleaning work or silently corrupt the replay
 //! state DeltaGrad-L depends on. This module serializes the *complete*
 //! loop state at a round boundary — model parameters, the cleaned-label
-//! patches, the Increm-Infl frozen `w⁽⁰⁾` provenance, the DeltaGrad-L
-//! provenance trace with its replayable batch plan, the annotator RNG
-//! stream seed, and every finished [`RoundReport`] — such that
-//! [`crate::Pipeline::resume_round_loop_latest`] continues the loop
-//! **bit-identically** to a run that was never interrupted (`tests/checkpoint_resume.rs` pins
-//! this; DESIGN.md §12 documents the guarantee).
+//! patches, Increm-Infl's `w⁽⁰⁾` with the Hessian norms frozen there,
+//! the DeltaGrad-L provenance trace with its replayable batch plan, the
+//! annotator RNG stream seed, and every finished [`RoundReport`] — such
+//! that [`crate::Pipeline::resume_round_loop_latest`] continues the loop
+//! **bit-identically** to a run that was never interrupted
+//! (`tests/checkpoint_resume.rs` pins this; DESIGN.md §12 documents the
+//! guarantee).
 //!
 //! # On-disk layout
 //!
 //! ```text
-//! checkpoint.v1 <json_len> <bin_len> <fnv1a64-hex>\n        ← header
+//! checkpoint.v2 <json_len> <bin_len> <fnv1a64-hex>\n        ← header
 //! <json_len bytes of JSON>                                  ← structure
 //! <bin_len bytes of little-endian f64s>                     ← matrices
 //! ```
@@ -22,8 +23,11 @@
 //! The JSON section (hand-rolled [`JsonWriter`], parsed back with
 //! [`chef_obs::parse`]) holds every scalar, the label patches, and the
 //! per-round reports; the binary section holds the large matrices
-//! (parameters, the `T×m` provenance buffers, provenance gradients) as
-//! raw little-endian `f64`s — exact bits, no text round-trip. The FNV-1a
+//! (parameters, the `T×m` provenance buffers, Increm-Infl's `w⁽⁰⁾` and
+//! norms) as raw little-endian `f64`s — exact bits, no text round-trip.
+//! `checkpoint.v1` files, whose Increm-Infl section also carried
+//! `n·(C + 1)` gradient rows between `w⁽⁰⁾` and the norms, still load:
+//! those rows are read and dropped. The FNV-1a
 //! 64 checksum covers both sections; torn writes and bit flips surface
 //! as [`CheckpointError::Corrupt`], and the generation scan
 //! ([`Checkpoint::latest_in_dir`]) falls back to the previous file.
@@ -42,12 +46,18 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Version tag carried by every checkpoint file.
-pub const CHECKPOINT_VERSION: &str = "checkpoint.v1";
+/// Version tag carried by every checkpoint file this build writes.
+pub const CHECKPOINT_VERSION: &str = "checkpoint.v2";
+
+/// The previous version, still read: its Increm-Infl section also
+/// stores gradient rows, which this build reads and drops.
+const CHECKPOINT_VERSION_V1: &str = "checkpoint.v1";
 
 /// File-name prefix of generation files in a checkpoint directory.
 const GENERATION_PREFIX: &str = "chef-ckpt-round-";
-/// File-name suffix of generation files.
+/// File-name suffix of generation files. It names the directory layout,
+/// not the format version, so directories written by `checkpoint.v1`
+/// builds are still scanned.
 const GENERATION_SUFFIX: &str = ".v1";
 
 /// Checkpoint cadence and retention knobs (part of
@@ -99,7 +109,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
             CheckpointError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported checkpoint version {v:?} (this build reads {CHECKPOINT_VERSION:?})"
+                "unsupported checkpoint version {v:?} (this build reads {CHECKPOINT_VERSION_V1:?} and {CHECKPOINT_VERSION:?})"
             ),
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
             CheckpointError::NoCheckpoint(d) => {
@@ -217,8 +227,10 @@ impl<'a> BinReader<'a> {
     }
 
     fn take(&mut self, count: usize) -> Result<Vec<f64>, CheckpointError> {
-        let need = count * 8;
-        if self.pos + need > self.bytes.len() {
+        // Counts come from the file: a length too large to address is
+        // truncation too, not an overflow.
+        let need = count.saturating_mul(8);
+        if need > self.bytes.len() - self.pos {
             return Err(CheckpointError::Corrupt(format!(
                 "binary payload truncated: need {count} f64s at offset {}",
                 self.pos
@@ -412,8 +424,6 @@ impl Checkpoint {
         };
         if let Some(snap) = increm {
             push_f64s(&mut bin, &snap.w0);
-            push_f64s(&mut bin, &snap.grads0);
-            push_f64s(&mut bin, &snap.class_grads0);
             push_f64s(&mut bin, &snap.hessian_norms0);
             push_f64s(&mut bin, &snap.class_hessian_norms0);
         }
@@ -482,7 +492,7 @@ impl Checkpoint {
                 w.field_str("kind", "infl");
                 w.key("increm");
                 w.begin_object();
-                w.field_u64("samples", (snap.grads0.len() / snap.num_params) as u64);
+                w.field_u64("samples", snap.hessian_norms0.len() as u64);
                 w.field_u64("num_params", snap.num_params as u64);
                 w.field_u64("num_classes", snap.num_classes as u64);
                 w.field_f64("slack", snap.slack);
@@ -522,7 +532,7 @@ impl Checkpoint {
         let version = parts
             .next()
             .ok_or_else(|| CheckpointError::Corrupt("empty header".into()))?;
-        if version != CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION && version != CHECKPOINT_VERSION_V1 {
             return Err(CheckpointError::UnsupportedVersion(version.to_string()));
         }
         let json_len: usize = parts
@@ -554,8 +564,13 @@ impl Checkpoint {
 
         // --- JSON section. ---
         let doc = parse_json(json)?;
-        expect_schema(&doc, CHECKPOINT_VERSION).map_err(|_| {
+        expect_schema(&doc, version).map_err(|_| {
             match doc.get("schema").and_then(JsonValue::as_str) {
+                Some(v) if v == CHECKPOINT_VERSION || v == CHECKPOINT_VERSION_V1 => {
+                    CheckpointError::Corrupt(format!(
+                        "header declares {version:?}, JSON section {v:?}"
+                    ))
+                }
                 Some(v) => CheckpointError::UnsupportedVersion(v.to_string()),
                 None => CheckpointError::Corrupt("JSON section carries no schema".into()),
             }
@@ -633,10 +648,15 @@ impl Checkpoint {
             ("stateless", _) => SelectorCheckpoint::Stateless,
             ("infl", None) => SelectorCheckpoint::Infl { increm: None },
             ("infl", Some((samples, num_params, num_classes, slack))) => {
+                let w0 = r.take(num_params)?;
+                if version == CHECKPOINT_VERSION_V1 {
+                    // The gradient and per-class gradient rows at w⁽⁰⁾,
+                    // read and dropped.
+                    let rows = samples.saturating_mul(num_classes.saturating_add(1));
+                    r.take(rows.saturating_mul(num_params))?;
+                }
                 let snap = IncremSnapshot {
-                    w0: r.take(num_params)?,
-                    grads0: r.take(samples * num_params)?,
-                    class_grads0: r.take(samples * num_classes * num_params)?,
+                    w0,
                     hessian_norms0: r.take(samples)?,
                     class_hessian_norms0: r.take(samples * num_classes)?,
                     num_params,
@@ -883,8 +903,6 @@ mod tests {
             selector: SelectorCheckpoint::Infl {
                 increm: Some(IncremSnapshot {
                     w0: vec![0.0, 0.0, 0.0],
-                    grads0: vec![0.5; 2 * m],
-                    class_grads0: vec![0.25; 2 * 2 * m],
                     hessian_norms0: vec![1.0, 2.0],
                     class_hessian_norms0: vec![0.1, 0.2, 0.3, 0.4],
                     num_params: m,
@@ -964,7 +982,7 @@ mod tests {
     fn unknown_version_is_a_clear_error_not_a_panic() {
         let mut bytes = sample_checkpoint().to_bytes();
         // The version token is the first field of the header.
-        bytes[12] = b'9'; // checkpoint.v1 → checkpoint.v9
+        bytes[12] = b'9'; // checkpoint.v2 → checkpoint.v9
         match Checkpoint::from_bytes(&bytes) {
             Err(CheckpointError::UnsupportedVersion(v)) => {
                 assert_eq!(v, "checkpoint.v9");

@@ -3,11 +3,9 @@
 //!
 //! Evaluating Infl on every uncleaned sample costs `C + 1` gradients per
 //! sample per round. Increm-Infl avoids most of that in rounds `k ≥ 1` by
-//! freezing per-sample quantities at the initialization model `w⁽⁰⁾` as
-//! *provenance* — the gradients `∇_wF(w⁽⁰⁾, z̃)`, the per-class gradients
-//! `∇_y∇_wF(w⁽⁰⁾, z̃)` and the Hessian spectral norms of Appendix D — and
-//! bounding how far the true influence at `w⁽ᵏ⁾` can drift from the
-//! frozen value `I₀`:
+//! freezing the initialization model `w⁽⁰⁾` and the Hessian spectral
+//! norms of Appendix D at `w⁽⁰⁾` as *provenance*, and bounding how far
+//! the true influence at `w⁽ᵏ⁾` can drift from the frozen value `I₀`:
 //!
 //! ```text
 //! I_pert⁽ᵏ⁾ − I₀ ∈ [ ½ Σ_j (δ_j e₁ − |δ_j| e₂) ‖H⁽ʲ⁾‖ + ((1−γ)/2)(e₁−e₂) μ_z ,
@@ -22,105 +20,71 @@
 //! bound `L` among those top-b — a set that provably contains the true
 //! top-b, so the expensive exact pass runs on a few samples only.
 //!
+//! The paper also freezes every sample's gradients at `w⁽⁰⁾`, because
+//! it pays autodiff for each `vᵀ∇` dot. Here those dots come from
+//! [`Model::score_block`], the kernel Full scoring runs (for logistic
+//! regression a closed form that never forms a gradient, DESIGN.md
+//! §11.1), so `I₀` is that kernel evaluated at `w⁽⁰⁾` against this
+//! round's `v`, and no gradient row is stored.
+//!
 //! Like the paper, the integrated Hessians in the bound are approximated
 //! by their value at `w⁽⁰⁾`; the `slack` factor (default 1, i.e. the
 //! paper's behaviour) can widen the interval to absorb that approximation.
 
-use crate::influence::{rank_infl_top_b, InflScore};
+use crate::influence::{class_scores, map_scored, rank_infl_top_b, InflScore};
 use crate::PAR_GRAIN;
-use chef_linalg::kernels;
 use chef_model::{DatasetStore, Model};
+use std::cmp::Ordering;
 
 /// Pre-computed per-sample provenance (the "initialization step" state).
-///
-/// All per-sample vectors live in contiguous row-major buffers (stride
-/// `m = num_params`, class-major within a sample) so the bound pass can
-/// hoist its dot products into blocked [`kernels::gather_matvec`] sweeps
-/// over provenance rows instead of chasing one heap allocation per
-/// sample.
 #[derive(Debug, Clone)]
 struct Provenance {
     w0: Vec<f64>,
-    /// `∇_w F(w⁽⁰⁾, z̃)` per sample: row `i` of an `n × m` matrix.
-    grads0: Vec<f64>,
-    /// Per-class gradients: row `i·C + c` of an `(n·C) × m` matrix.
-    class_grads0: Vec<f64>,
     /// `‖H(w⁽⁰⁾, z̃)‖` per sample (μ_z in the bound).
     hessian_norms0: Vec<f64>,
     /// `‖−∇²_w log p⁽ʲ⁾(w⁽⁰⁾, x̃)‖`, flat `n·C` (sample-major).
     class_hessian_norms0: Vec<f64>,
-    /// Parameter count `m` (row stride of the gradient buffers).
+    /// Parameter count `m` (the length of `w0`).
     num_params: usize,
-    /// Class count `C` (row-group stride of `class_grads0`).
+    /// Class count `C` (row stride of `class_hessian_norms0`).
     num_classes: usize,
-}
-
-/// The provenance of rows `start..start + hessian_norms0.len()`: one
-/// contiguous block of each flat [`Provenance`] buffer, borrowed so the
-/// initialization step writes every row in place.
-struct ProvenanceBlock<'a> {
-    start: usize,
-    grads0: &'a mut [f64],
-    class_grads0: &'a mut [f64],
-    hessian_norms0: &'a mut [f64],
-    class_hessian_norms0: &'a mut [f64],
-}
-
-impl<'a> ProvenanceBlock<'a> {
-    /// Compute every row of the block at `w0`. Rows are independent, so
-    /// how the rows are split into blocks cannot change a bit.
-    fn fill<M: Model + ?Sized>(&mut self, model: &M, data: &dyn DatasetStore, w0: &[f64]) {
-        let m = model.num_params();
-        let c_count = model.num_classes();
-        let rows = self
-            .grads0
-            .chunks_exact_mut(m)
-            .zip(self.class_grads0.chunks_exact_mut(c_count * m))
-            .zip(self.hessian_norms0.iter_mut())
-            .zip(self.class_hessian_norms0.chunks_exact_mut(c_count));
-        for (r, (((grad0, class_grads0), hessian_norm0), class_norms0)) in rows.enumerate() {
-            let i = self.start + r;
-            let x = data.feature(i);
-            let y = data.label(i);
-            model.grad(w0, x, y, grad0);
-            for (c, row) in class_grads0.chunks_exact_mut(m).enumerate() {
-                model.class_grad(w0, x, c, row);
-            }
-            *hessian_norm0 = model.hessian_norm(w0, x, y);
-            for (c, norm) in class_norms0.iter_mut().enumerate() {
-                *norm = model.class_hessian_norm(w0, x, c);
-            }
-        }
-    }
-
-    /// Split into consecutive blocks of at most `rows` rows each.
-    fn split(self, rows: usize, m: usize, c_count: usize) -> Vec<ProvenanceBlock<'a>> {
-        let start = self.start;
-        self.grads0
-            .chunks_mut(rows * m)
-            .zip(self.class_grads0.chunks_mut(rows * c_count * m))
-            .zip(self.hessian_norms0.chunks_mut(rows))
-            .zip(self.class_hessian_norms0.chunks_mut(rows * c_count))
-            .enumerate()
-            .map(|(k, (((g, cg), hn), chn))| ProvenanceBlock {
-                start: start + k * rows,
-                grads0: g,
-                class_grads0: cg,
-                hessian_norms0: hn,
-                class_hessian_norms0: chn,
-            })
-            .collect()
-    }
 }
 
 /// Per-sample result of the Theorem 1 bound pass: the best frozen
 /// influence with its upper bound and the smallest lower bound over
 /// classes.
+#[derive(Debug, Clone)]
 struct Entry {
     index: usize,
     i0: f64,
     ub: f64,
     lb_min: f64,
+}
+
+/// Algorithm 1's order on bound entries: ascending `I₀`, ties broken by
+/// training-set index, so the top-b is independent of pool order.
+fn cmp_entries(a: &Entry, b: &Entry) -> Ordering {
+    a.i0.total_cmp(&b.i0).then(a.index.cmp(&b.index))
+}
+
+/// Algorithm 1, lines 3–5: the `b` entries with the smallest `I₀`, then
+/// every other entry whose lower bound undercuts the largest upper bound
+/// `L` among those `b`. A partial selection finds the top `b` in O(n);
+/// under [`cmp_entries`] it is the set a stable sort of the ascending
+/// pool puts first.
+fn prune(mut entries: Vec<Entry>, b: usize) -> Vec<usize> {
+    let b = b.min(entries.len());
+    if b == 0 {
+        return Vec::new();
+    }
+    if b < entries.len() {
+        entries.select_nth_unstable_by(b - 1, cmp_entries);
+    }
+    let (top, rest) = entries.split_at(b);
+    let l = top.iter().map(|e| e.ub).fold(f64::NEG_INFINITY, f64::max);
+    let mut cands: Vec<usize> = top.iter().map(|e| e.index).collect();
+    cands.extend(rest.iter().filter(|e| e.lb_min < l).map(|e| e.index));
+    cands
 }
 
 /// Work counters for one Increm-Infl round.
@@ -142,28 +106,24 @@ pub struct IncremInfl {
     pub slack: f64,
 }
 
-/// An owned, serializable copy of the full Increm-Infl state: the frozen
-/// `w⁽⁰⁾` provenance of the initialization step plus the bound-slack
-/// knob. Produced by [`IncremInfl::snapshot`] and consumed by
-/// [`IncremInfl::from_snapshot`]; the checkpoint subsystem stores the
-/// matrix fields in its binary payload so a resumed run prunes with
+/// An owned, serializable copy of the full Increm-Infl state: `w⁽⁰⁾`,
+/// the Hessian norms frozen there by the initialization step, and the
+/// bound-slack knob. Produced by [`IncremInfl::snapshot`] and consumed
+/// by [`IncremInfl::from_snapshot`]; the checkpoint subsystem stores the
+/// vectors in its binary payload so a resumed run prunes with
 /// bit-identical Theorem 1 intervals instead of re-running the
 /// initialization step at a different model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncremSnapshot {
     /// Initialization-step parameters `w⁽⁰⁾` (length `num_params`).
     pub w0: Vec<f64>,
-    /// Frozen per-sample gradients, row-major `n × num_params`.
-    pub grads0: Vec<f64>,
-    /// Frozen per-class gradients, row-major `(n·num_classes) × num_params`.
-    pub class_grads0: Vec<f64>,
     /// Frozen per-sample Hessian norms (length `n`).
     pub hessian_norms0: Vec<f64>,
     /// Frozen per-class Hessian norms, flat `n·num_classes` sample-major.
     pub class_hessian_norms0: Vec<f64>,
-    /// Parameter count `m` (row stride of the gradient buffers).
+    /// Parameter count `m` (the length of `w0`).
     pub num_params: usize,
-    /// Class count `C` (row-group stride of `class_grads0`).
+    /// Class count `C` (row stride of `class_hessian_norms0`).
     pub num_classes: usize,
     /// The [`IncremInfl::slack`] multiplier in effect.
     pub slack: f64,
@@ -185,50 +145,47 @@ impl IncremSnapshot {
                 self.w0.len()
             ));
         }
-        if !self.grads0.len().is_multiple_of(m) {
-            return Err("IncremSnapshot: grads0 not a multiple of num_params".into());
-        }
-        let n = self.grads0.len() / m;
-        if self.class_grads0.len() != n * c * m {
-            return Err("IncremSnapshot: class_grads0 length mismatch".into());
-        }
-        if self.hessian_norms0.len() != n {
-            return Err("IncremSnapshot: hessian_norms0 length mismatch".into());
-        }
-        if self.class_hessian_norms0.len() != n * c {
+        if self.class_hessian_norms0.len() != self.hessian_norms0.len() * c {
             return Err("IncremSnapshot: class_hessian_norms0 length mismatch".into());
         }
         Ok(())
     }
 }
 
+/// Append the Hessian norms at `w0` of rows `rows` to `mu` (one per row)
+/// and `class_mu` (`C` per row).
+fn push_norms<M: Model + ?Sized>(
+    model: &M,
+    data: &dyn DatasetStore,
+    w0: &[f64],
+    rows: std::ops::Range<usize>,
+    mu: &mut Vec<f64>,
+    class_mu: &mut Vec<f64>,
+) {
+    for i in rows {
+        let x = data.feature(i);
+        mu.push(model.hessian_norm(w0, x, data.label(i)));
+        class_mu.extend((0..model.num_classes()).map(|c| model.class_hessian_norm(w0, x, c)));
+    }
+}
+
 impl IncremInfl {
-    /// Initialization step: pre-compute provenance for every training
-    /// sample at the initial model `w⁽⁰⁾`.
+    /// Initialization step: freeze `w⁽⁰⁾` and pre-compute every training
+    /// sample's Hessian norms there (`n·(C + 1)` norms, no gradient).
     ///
-    /// Each row is written in place into the flat provenance buffers.
-    /// With more than one worker thread, disjoint blocks of rows are
-    /// filled across the thread pool; every row is independent (no
-    /// floating-point reduction), so the provenance is bit-identical at
-    /// every pool size.
+    /// With more than one worker thread, blocks of rows are computed
+    /// across the thread pool and concatenated in row order; every row
+    /// is independent (no floating-point reduction), so the provenance
+    /// is bit-identical at every pool size.
     pub fn initialize<M: Model + ?Sized>(model: &M, data: &dyn DatasetStore, w0: &[f64]) -> Self {
-        let m = model.num_params();
-        let c_count = model.num_classes();
         let n = data.len();
-        // Every row is written straight into its slices of the flat
-        // buffers, so the provenance is held once: no per-row vectors
-        // copied into place afterwards.
-        let mut grads0 = vec![0.0; n * m];
-        let mut class_grads0 = vec![0.0; n * c_count * m];
-        let mut hessian_norms0 = vec![0.0; n];
-        let mut class_hessian_norms0 = vec![0.0; n * c_count];
+        let c_count = model.num_classes();
+        let mut hessian_norms0 = Vec::with_capacity(n);
+        let mut class_hessian_norms0 = Vec::with_capacity(n * c_count);
         // One storage shard at a time: each shard's feature rows are
         // prefetched, swept, and released before the next shard is
         // touched, so an out-of-core store never holds more than one
-        // shard resident during the initialization step. Rows are
-        // independent (no cross-row reduction), so the slab partition —
-        // and the parallel fan-out within a slab — cannot change a bit
-        // of the provenance relative to one flat 0..n sweep.
+        // shard resident during the initialization step.
         let bounds = data.shard_boundaries();
         for (k, win) in bounds.windows(2).enumerate() {
             let (lo, hi) = (win[0], win[1]);
@@ -240,42 +197,34 @@ impl IncremInfl {
             if k + 2 < bounds.len() {
                 data.prefetch_upcoming(bounds[k + 1], bounds[k + 2]);
             }
-            let mut slab = ProvenanceBlock {
-                start: lo,
-                grads0: &mut grads0[lo * m..hi * m],
-                class_grads0: &mut class_grads0[lo * c_count * m..hi * c_count * m],
-                hessian_norms0: &mut hessian_norms0[lo..hi],
-                class_hessian_norms0: &mut class_hessian_norms0[lo * c_count..hi * c_count],
-            };
             if hi - lo >= PAR_GRAIN && rayon::current_num_threads() > 1 {
                 use rayon::prelude::*;
-                // Disjoint `PAR_GRAIN`-row blocks of the slab, one task
-                // each; a block's lock is only ever taken by the task
-                // that fills it.
-                let blocks: Vec<std::sync::Mutex<ProvenanceBlock<'_>>> = slab
-                    .split(PAR_GRAIN, m, c_count)
-                    .into_iter()
-                    .map(std::sync::Mutex::new)
+                let blocks: Vec<(Vec<f64>, Vec<f64>)> = (0..(hi - lo).div_ceil(PAR_GRAIN))
+                    .into_par_iter()
+                    .map(|bi| {
+                        let start = lo + bi * PAR_GRAIN;
+                        let (mut mu, mut class_mu) = (Vec::new(), Vec::new());
+                        let rows = start..(start + PAR_GRAIN).min(hi);
+                        push_norms(model, data, w0, rows, &mut mu, &mut class_mu);
+                        (mu, class_mu)
+                    })
                     .collect();
-                blocks.par_iter().for_each(|block| {
-                    block
-                        .lock()
-                        .expect("provenance block lock")
-                        .fill(model, data, w0);
-                });
+                for (mu, class_mu) in blocks {
+                    hessian_norms0.extend(mu);
+                    class_hessian_norms0.extend(class_mu);
+                }
             } else {
-                slab.fill(model, data, w0);
+                let (mu, class_mu) = (&mut hessian_norms0, &mut class_hessian_norms0);
+                push_norms(model, data, w0, lo..hi, mu, class_mu);
             }
             data.advise_scanned(lo, hi);
         }
         Self {
             provenance: Provenance {
                 w0: w0.to_vec(),
-                grads0,
-                class_grads0,
                 hessian_norms0,
                 class_hessian_norms0,
-                num_params: m,
+                num_params: model.num_params(),
                 num_classes: c_count,
             },
             slack: 1.0,
@@ -291,8 +240,6 @@ impl IncremInfl {
     pub fn snapshot(&self) -> IncremSnapshot {
         IncremSnapshot {
             w0: self.provenance.w0.clone(),
-            grads0: self.provenance.grads0.clone(),
-            class_grads0: self.provenance.class_grads0.clone(),
             hessian_norms0: self.provenance.hessian_norms0.clone(),
             class_hessian_norms0: self.provenance.class_hessian_norms0.clone(),
             num_params: self.provenance.num_params,
@@ -313,8 +260,6 @@ impl IncremInfl {
         Ok(Self {
             provenance: Provenance {
                 w0: snap.w0,
-                grads0: snap.grads0,
-                class_grads0: snap.class_grads0,
                 hessian_norms0: snap.hessian_norms0,
                 class_hessian_norms0: snap.class_hessian_norms0,
                 num_params: snap.num_params,
@@ -324,105 +269,77 @@ impl IncremInfl {
         })
     }
 
-    /// Frozen influence `I₀(z̃, δ_y, γ)` for sample `i` and target class
-    /// `class`, given the current influence vector `v_pos = H⁻¹∇F_val`.
-    /// (Reference implementation kept for the unit tests; the production
-    /// path in [`Self::candidates`] inlines it with hoisted dot products.)
-    #[cfg(test)]
-    fn frozen_influence(
-        &self,
-        data: &dyn DatasetStore,
-        m: usize,
-        v_pos: &[f64],
-        i: usize,
-        class: usize,
-        gamma: f64,
-    ) -> f64 {
-        let delta = data.label(i).delta_to(class);
-        let cg_base = i * self.provenance.num_classes * m;
-        let mut acc = 0.0;
-        for (c, &d) in delta.iter().enumerate() {
-            if d == 0.0 {
-                continue;
-            }
-            let row = &self.provenance.class_grads0[cg_base + c * m..cg_base + (c + 1) * m];
-            acc += d * chef_linalg::vector::dot(v_pos, row);
-        }
-        if gamma < 1.0 {
-            let grow = &self.provenance.grads0[i * m..(i + 1) * m];
-            acc += (1.0 - gamma) * chef_linalg::vector::dot(v_pos, grow);
-        }
-        -acc
-    }
-
-    /// Evaluate the Theorem 1 interval for one pool sample. The dot
-    /// products against the provenance gradients (`g_dot`, `class_dots`)
-    /// are hoisted out entirely — [`Self::candidates`] computes them for
-    /// the whole pool in blocked [`kernels::gather_matvec`] sweeps —
-    /// so everything here is O(C) arithmetic on cached scalars, which is
-    /// what makes the bound pass cheap relative to exact influence
-    /// evaluation (Appendix E's complexity argument).
+    /// The Theorem 1 bound pass: one [`Entry`] per pool sample, in pool
+    /// order. Each sample's per-class `I₀` is Full's Eq. 6 score at
+    /// `w⁽⁰⁾` ([`map_scored`] over [`Model::score_block`], the same
+    /// blocks, fan-out and store reads as Full scoring, then
+    /// [`class_scores`]); the interval around it is O(C) arithmetic on
+    /// the frozen norms. Entries carry no cross-sample reduction, so
+    /// they are bit-identical at every pool size.
     #[allow(clippy::too_many_arguments)]
-    fn bound_entry(
+    fn bound_entries<M: Model + ?Sized>(
         &self,
+        model: &M,
         data: &dyn DatasetStore,
-        e1: f64,
-        e2: f64,
+        w_k: &[f64],
+        v_pos: &[f64],
+        pool: &[usize],
         gamma: f64,
-        i: usize,
-        g_dot: f64,
-        class_dots: &[f64],
-    ) -> Entry {
-        let c_count = class_dots.len();
-        let norms = &self.provenance.class_hessian_norms0[i * c_count..(i + 1) * c_count];
-        let mu = self.provenance.hessian_norms0[i];
+    ) -> Vec<Entry> {
+        let c_count = self.provenance.num_classes;
+        debug_assert_eq!(self.provenance.num_params, model.num_params());
+        debug_assert_eq!(c_count, model.num_classes());
+        let w0 = &self.provenance.w0;
+        let dw = chef_linalg::vector::sub(w_k, w0);
+        // v = −v_pos in the paper's convention.
+        let e1 = -chef_linalg::vector::dot(v_pos, &dw);
+        let e2 = chef_linalg::vector::norm2(v_pos) * chef_linalg::vector::norm2(&dw);
         let gterm = (1.0 - gamma) / 2.0;
-        let mut best_i0 = f64::INFINITY;
-        let mut best_ub = f64::INFINITY;
-        let mut lb_min = f64::INFINITY;
-        for c in 0..c_count {
-            let delta = data.label(i).delta_to(c);
-            let mut acc = 0.0;
-            let mut signed = 0.0;
-            let mut absolute = 0.0;
-            for (k, &d) in delta.iter().enumerate() {
-                acc += d * class_dots[k];
-                signed += d * norms[k];
-                absolute += d.abs() * norms[k];
+        map_scored(model, data, w0, v_pos, pool, |i, cd, ld| {
+            let label = data.label(i);
+            let norms = &self.provenance.class_hessian_norms0[i * c_count..(i + 1) * c_count];
+            let mu = self.provenance.hessian_norms0[i];
+            let mut best_i0 = f64::INFINITY;
+            let mut best_ub = f64::INFINITY;
+            let mut lb_min = f64::INFINITY;
+            for (c, i0) in class_scores(label, cd, ld, gamma).enumerate() {
+                // δ = onehot(c) − ỹ, one component at a time.
+                let mut signed = 0.0;
+                let mut absolute = 0.0;
+                for (k, (&p, &norm)) in label.probs().iter().zip(norms).enumerate() {
+                    let d = if k == c { 1.0 - p } else { -p };
+                    signed += d * norm;
+                    absolute += d.abs() * norm;
+                }
+                let mut lo = 0.5 * (signed * e1 - absolute * e2) + gterm * (e1 - e2) * mu;
+                let mut hi = 0.5 * (signed * e1 + absolute * e2) + gterm * (e1 + e2) * mu;
+                if self.slack != 1.0 {
+                    let mid = 0.5 * (lo + hi);
+                    let half = 0.5 * (hi - lo) * self.slack;
+                    lo = mid - half;
+                    hi = mid + half;
+                }
+                if i0 < best_i0 {
+                    best_i0 = i0;
+                    best_ub = i0 + hi;
+                }
+                lb_min = lb_min.min(i0 + lo);
             }
-            if gamma < 1.0 {
-                acc += (1.0 - gamma) * g_dot;
+            Entry {
+                index: i,
+                i0: best_i0,
+                ub: best_ub,
+                lb_min,
             }
-            let i0 = -acc;
-            let mut lo = 0.5 * (signed * e1 - absolute * e2) + gterm * (e1 - e2) * mu;
-            let mut hi = 0.5 * (signed * e1 + absolute * e2) + gterm * (e1 + e2) * mu;
-            if self.slack != 1.0 {
-                let mid = 0.5 * (lo + hi);
-                let half = 0.5 * (hi - lo) * self.slack;
-                lo = mid - half;
-                hi = mid + half;
-            }
-            if i0 < best_i0 {
-                best_i0 = i0;
-                best_ub = i0 + hi;
-            }
-            lb_min = lb_min.min(i0 + lo);
-        }
-        Entry {
-            index: i,
-            i0: best_i0,
-            ub: best_ub,
-            lb_min,
-        }
+        })
     }
 
     /// Algorithm 1: return the candidate set `Z_inf⁽ᵏ⁾ ⊆ pool` that is
     /// guaranteed (under the Hessian-freeze approximation) to contain the
     /// top-`b` most influential samples at `w_k`.
     ///
-    /// The bound pass's dot products run in [`kernels::gather_matvec`],
-    /// which fans out on a multi-worker pool; the entries carry no
-    /// cross-sample reduction, so the candidate set is bit-identical at
+    /// A round pays one pass of Full's scoring kernel over the pool at
+    /// `w⁽⁰⁾` plus O(C) per sample; the candidate set is bit-identical at
     /// every pool size.
     #[allow(clippy::too_many_arguments)]
     pub fn candidates<M: Model + ?Sized>(
@@ -435,63 +352,8 @@ impl IncremInfl {
         b: usize,
         gamma: f64,
     ) -> (Vec<usize>, IncremStats) {
-        let m = self.provenance.num_params;
-        let c_count = self.provenance.num_classes;
-        debug_assert_eq!(m, model.num_params());
-        debug_assert_eq!(c_count, model.num_classes());
-        let _ = model;
-        let dw = chef_linalg::vector::sub(w_k, &self.provenance.w0);
-        // v = −v_pos in the paper's convention.
-        let e1 = -chef_linalg::vector::dot(v_pos, &dw);
-        let e2 = chef_linalg::vector::norm2(v_pos) * chef_linalg::vector::norm2(&dw);
-
-        // Hoist every provenance dot product out of the per-sample loop:
-        // one blocked gather-matvec sweep over the pool's frozen
-        // gradients and one over its per-class gradient rows. Each output
-        // element is a full-length row dot, so the sweep is bit-identical
-        // at every pool size; `bound_entry` is then pure O(C) arithmetic
-        // per sample.
-        let mut g_dots = vec![0.0; pool.len()];
-        let mut class_dots = vec![0.0; pool.len() * c_count];
-        let class_rows: Vec<usize> = pool
-            .iter()
-            .flat_map(|&i| i * c_count..(i + 1) * c_count)
-            .collect();
-        kernels::gather_matvec(&self.provenance.grads0, m, pool, v_pos, &mut g_dots);
-        kernels::gather_matvec(
-            &self.provenance.class_grads0,
-            m,
-            &class_rows,
-            v_pos,
-            &mut class_dots,
-        );
-
-        // Per sample: the best (smallest) frozen influence over classes,
-        // with its interval (`bound_entry`), in pool order.
-        let mut entries: Vec<Entry> = pool
-            .iter()
-            .enumerate()
-            .map(|(r, &i)| {
-                let cd = &class_dots[r * c_count..(r + 1) * c_count];
-                self.bound_entry(data, e1, e2, gamma, i, g_dots[r], cd)
-            })
-            .collect();
-
-        // Top-b smallest I₀ (Algorithm 1 line 3) and the largest upper
-        // bound L among them (line 4).
-        entries.sort_by(|a, b| a.i0.total_cmp(&b.i0));
-        let b_eff = b.min(entries.len());
-        let l = entries[..b_eff]
-            .iter()
-            .map(|e| e.ub)
-            .fold(f64::NEG_INFINITY, f64::max);
-
-        let mut cands: Vec<usize> = entries[..b_eff].iter().map(|e| e.index).collect();
-        for e in &entries[b_eff..] {
-            if e.lb_min < l {
-                cands.push(e.index);
-            }
-        }
+        let entries = self.bound_entries(model, data, w_k, v_pos, pool, gamma);
+        let cands = prune(entries, b);
         let stats = IncremStats {
             pool: pool.len(),
             candidates: cands.len(),
@@ -522,9 +384,11 @@ impl IncremInfl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::influence::{influence_vector, rank_infl_with_vector, InflConfig};
+    use crate::influence::{
+        influence_of_label, influence_vector, rank_infl_with_vector, InflConfig, InflScratch,
+    };
     use chef_linalg::Matrix;
-    use chef_model::{Dataset, LogisticRegression, SoftLabel, WeightedObjective};
+    use chef_model::{Dataset, LogisticRegression, Mlp, SoftLabel, WeightedObjective};
     use chef_train::{train, SgdConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -576,8 +440,31 @@ mod tests {
         )
     }
 
-    fn fit(
-        model: &LogisticRegression,
+    /// A deterministic three-class problem: features on a grid, soft
+    /// labels that vary by row, or one-hot ones for a validation set.
+    fn three_class(n: usize, clean: bool) -> Dataset {
+        let features = (0..2 * n).map(|k| (k % 17) as f64 / 8.0 - 1.0).collect();
+        let labels = (0..n)
+            .map(|i| match clean {
+                true => SoftLabel::onehot(i % 3, 3),
+                false => {
+                    let (a, b) = (0.2 + (i % 5) as f64 * 0.1, 0.05 + (i % 7) as f64 * 0.04);
+                    SoftLabel::new(vec![a, b, 1.0 - a - b])
+                }
+            })
+            .collect();
+        let truth = (0..n).map(|i| Some(i % 3)).collect();
+        Dataset::new(
+            Matrix::from_vec(n, 2, features),
+            labels,
+            vec![clean; n],
+            truth,
+            3,
+        )
+    }
+
+    fn fit<M: Model + ?Sized>(
+        model: &M,
         obj: &WeightedObjective,
         data: &dyn DatasetStore,
         epochs: usize,
@@ -590,8 +477,14 @@ mod tests {
             seed,
             cache_provenance: false,
         };
-        let w0 = vec![0.0; chef_model::Model::num_params(model)];
-        train(model, obj, data, &w0, &cfg).w
+        train(model, obj, data, &model.initial_params(seed), &cfg).w
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -609,28 +502,92 @@ mod tests {
         assert_eq!(stats.pool, 80);
     }
 
+    /// Logistic regression at 2 and 3 classes and the three-class MLP,
+    /// each with `n` training rows, a validation set and a fitted `w⁽⁰⁾`;
+    /// per case the influence vector at `w⁽⁰⁾`, the bound entries at
+    /// `w⁽ᵏ⁾ = w⁽⁰⁾`, and Full's exact scores sorted by index.
+    #[allow(clippy::type_complexity)]
+    fn at_w0(
+        n: usize,
+    ) -> Vec<(
+        Box<dyn Model>,
+        Dataset,
+        Vec<f64>,
+        Vec<f64>,
+        Vec<Entry>,
+        Vec<InflScore>,
+    )> {
+        let (lr2, obj, data2, val2) = fixture(n, 2);
+        let (data3, val3) = (three_class(n, false), three_class(30, true));
+        let cases: Vec<(Box<dyn Model>, Dataset, Dataset)> = vec![
+            (Box::new(lr2), data2, val2),
+            (
+                Box::new(LogisticRegression::new(2, 3)),
+                data3.clone(),
+                val3.clone(),
+            ),
+            (Box::new(Mlp::new(2, 4, 3)), data3, val3),
+        ];
+        cases
+            .into_iter()
+            .map(|(model, data, val)| {
+                let w0 = fit(&*model, &obj, &data, 10, 4);
+                let inc = IncremInfl::initialize(&*model, &data, &w0);
+                let v = influence_vector(&*model, &obj, &data, &val, &w0, &InflConfig::default());
+                let pool = data.uncleaned_indices();
+                let entries = inc.bound_entries(&*model, &data, &w0, &v, &pool, obj.gamma);
+                let mut exact = rank_infl_with_vector(&*model, &data, &w0, &v, &pool, obj.gamma);
+                exact.sort_by_key(|s| s.index);
+                (model, data, w0, v, entries, exact)
+            })
+            .collect()
+    }
+
     #[test]
     fn frozen_influence_matches_exact_at_w0() {
-        let (model, obj, data, val) = fixture(50, 2);
-        let w0 = fit(&model, &obj, &data, 20, 4);
-        let inc = IncremInfl::initialize(&model, &data, &w0);
-        let v = influence_vector(&model, &obj, &data, &val, &w0, &InflConfig::default());
-        let exact = rank_infl_with_vector(&model, &data, &w0, &v, &[3, 7, 11], obj.gamma);
-        for s in exact {
-            let frozen = inc.frozen_influence(
-                &data,
-                chef_model::Model::num_params(&model),
-                &v,
-                s.index,
-                s.suggested,
-                obj.gamma,
-            );
-            assert!(
-                (frozen - s.score).abs() < 1e-10,
-                "sample {}: frozen {frozen} vs exact {}",
-                s.index,
-                s.score
-            );
+        let gamma = fixture(1, 0).1.gamma;
+        for (model, data, w0, v, entries, exact) in at_w0(60) {
+            let mut scratch = InflScratch::new(&*model);
+            for (e, s) in entries.iter().zip(&exact) {
+                // Eq. 6 from the dense class_grad/grad rows at w⁽⁰⁾.
+                let dense = influence_of_label(
+                    &*model,
+                    &data,
+                    &w0,
+                    &v,
+                    s.index,
+                    s.suggested,
+                    gamma,
+                    &mut scratch,
+                );
+                assert!(
+                    (dense - s.score).abs() < 1e-10,
+                    "sample {}: dense {dense} vs exact {}",
+                    s.index,
+                    s.score
+                );
+                assert_eq!(e.index, s.index);
+                assert!(
+                    (e.i0 - dense).abs() < 1e-10,
+                    "sample {}: frozen {} vs dense {dense}",
+                    s.index,
+                    e.i0
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_influence_is_fulls_exact_score_bit_for_bit_at_w0() {
+        // Increm's I₀ and Full's score run one kernel through one
+        // contraction. 300 rows span two score blocks and clear the
+        // parallel grain.
+        for (_, _, _, _, entries, exact) in at_w0(300) {
+            for (e, s) in entries.iter().zip(&exact) {
+                assert_eq!(e.index, s.index);
+                assert_eq!(e.i0.to_bits(), s.score.to_bits(), "sample {}", s.index);
+                assert_eq!(e.ub, e.i0, "the interval collapses to I₀");
+            }
         }
     }
 
@@ -696,6 +653,79 @@ mod tests {
         }
     }
 
+    /// Reference for [`prune`]: a stable sort of the entries by `I₀`
+    /// alone, then the same cutoff rule.
+    fn prune_by_stable_sort(mut entries: Vec<Entry>, b: usize) -> Vec<usize> {
+        entries.sort_by(|a, b| a.i0.total_cmp(&b.i0));
+        let b = b.min(entries.len());
+        let l = entries[..b]
+            .iter()
+            .map(|e| e.ub)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let mut cands: Vec<usize> = entries[..b].iter().map(|e| e.index).collect();
+        cands.extend(
+            entries[b..]
+                .iter()
+                .filter(|e| e.lb_min < l)
+                .map(|e| e.index),
+        );
+        cands
+    }
+
+    fn sorted(mut v: Vec<usize>) -> Vec<usize> {
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn partial_selection_picks_the_stable_sort_set_under_ties() {
+        let entry = |index, i0, ub, lb_min| Entry {
+            index,
+            i0,
+            ub,
+            lb_min,
+        };
+        // Indices 2, 5 and 7 tie at I₀ = 1 across the b = 2 boundary.
+        // Over the ascending pool the stable sort keeps 2 (ub 9), so
+        // L = 9 and only lb_min < 9 joins: 5 (lb 8) yes, 7 (lb 9.5) no.
+        // Breaking the tie toward 7 (ub 1) would give L = 1 and drop 5.
+        let entries = vec![
+            entry(0, 0.5, 0.6, 0.4),
+            entry(2, 1.0, 9.0, 0.9),
+            entry(5, 1.0, 1.0, 8.0),
+            entry(7, 1.0, 1.0, 9.5),
+            entry(9, 3.0, 3.0, 10.0),
+        ];
+        assert_eq!(sorted(prune(entries.clone(), 2)), vec![0, 2, 5]);
+        assert_eq!(
+            sorted(prune(entries.clone(), 2)),
+            sorted(prune_by_stable_sort(entries.clone(), 2))
+        );
+        // b = 0 selects nothing; b ≥ pool keeps everything.
+        assert!(prune(entries.clone(), 0).is_empty());
+        assert_eq!(sorted(prune(entries.clone(), 9)), vec![0, 2, 5, 7, 9]);
+
+        // Randomized: few distinct I₀ values force ties at the b-th place.
+        let mut rng = SmallRng::seed_from_u64(41);
+        for trial in 0..500 {
+            let n = rng.gen_range(1..40);
+            let entries: Vec<Entry> = (0..n)
+                .map(|r| {
+                    let i0 = f64::from(rng.gen_range(0..4u32));
+                    let ub = i0 + rng.gen_range(0.0..3.0);
+                    let lb = i0 - rng.gen_range(0.0..3.0);
+                    entry(3 * r + 1, i0, ub, lb)
+                })
+                .collect();
+            let b = rng.gen_range(0..n + 2);
+            assert_eq!(
+                sorted(prune(entries.clone(), b)),
+                sorted(prune_by_stable_sort(entries, b)),
+                "trial {trial}, n {n}, b {b}"
+            );
+        }
+    }
+
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
         let (model, obj, data, val) = fixture(60, 5);
@@ -713,83 +743,35 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Row-wise reference for [`IncremInfl::initialize`]: each sample's
-    /// gradients and norms computed into scratch vectors, then appended
-    /// to the flat buffers in row order.
-    fn initialize_rowwise<M: Model + ?Sized>(
-        model: &M,
-        data: &dyn DatasetStore,
-        w0: &[f64],
-    ) -> IncremInfl {
-        let (m, c_count) = (model.num_params(), model.num_classes());
-        let mut snap = IncremSnapshot {
-            w0: w0.to_vec(),
-            grads0: Vec::new(),
-            class_grads0: Vec::new(),
-            hessian_norms0: Vec::new(),
-            class_hessian_norms0: Vec::new(),
-            num_params: m,
-            num_classes: c_count,
-            slack: 1.0,
-        };
-        let mut g = vec![0.0; m];
-        for i in 0..data.len() {
-            let (x, y) = (data.feature(i), data.label(i));
-            model.grad(w0, x, y, &mut g);
-            snap.grads0.extend_from_slice(&g);
-            for c in 0..c_count {
-                model.class_grad(w0, x, c, &mut g);
-                snap.class_grads0.extend_from_slice(&g);
-            }
-            snap.hessian_norms0.push(model.hessian_norm(w0, x, y));
-            for c in 0..c_count {
-                snap.class_hessian_norms0
-                    .push(model.class_hessian_norm(w0, x, c));
-            }
-        }
-        IncremInfl::from_snapshot(snap).unwrap()
-    }
-
-    fn snapshot_bits(s: &IncremSnapshot) -> Vec<u64> {
-        s.w0.iter()
-            .chain(&s.grads0)
-            .chain(&s.class_grads0)
-            .chain(&s.hessian_norms0)
-            .chain(&s.class_hessian_norms0)
-            .map(|v| v.to_bits())
-            .collect()
-    }
-
     #[test]
     fn in_place_initialization_equals_the_rowwise_reference() {
-        // 300 rows clear the parallel grain, so a multi-worker pool runs
+        // 300 rows clear the parallel grain, so the 4-worker pool runs
         // the blocked fan-out (with a partial last block); the
         // three-class MLP covers the per-sample model path.
-        let (model, obj, data, _) = fixture(300, 8);
-        let w0 = fit(&model, &obj, &data, 5, 2);
-        let snap = IncremInfl::initialize(&model, &data, &w0).snapshot();
-        let reference = initialize_rowwise(&model, &data, &w0).snapshot();
-        assert_eq!(snap, reference);
-        assert_eq!(snapshot_bits(&snap), snapshot_bits(&reference));
-        assert_eq!(snap.grads0.len(), 300 * snap.num_params);
-
-        let mlp = chef_model::Mlp::new(2, 4, 3);
-        let three = Dataset::new(
-            Matrix::from_vec(
-                300,
-                2,
-                (0..600).map(|k| (k % 17) as f64 / 8.0 - 1.0).collect(),
-            ),
-            (0..300).map(|i| SoftLabel::onehot(i % 3, 3)).collect(),
-            vec![false; 300],
-            vec![None; 300],
-            3,
-        );
-        let w0 = chef_model::Model::initial_params(&mlp, 4);
-        let snap = IncremInfl::initialize(&mlp, &three, &w0).snapshot();
-        let reference = initialize_rowwise(&mlp, &three, &w0).snapshot();
-        assert_eq!(snap, reference);
-        assert_eq!(snapshot_bits(&snap), snapshot_bits(&reference));
+        let (lr, obj, data2, _) = fixture(300, 8);
+        let (mlp, data3) = (Mlp::new(2, 4, 3), three_class(300, false));
+        let cases: [(&dyn Model, &Dataset); 2] = [(&lr, &data2), (&mlp, &data3)];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (model, data) in cases {
+            let w0 = fit(model, &obj, data, 5, 2);
+            // Row-wise reference: each sample's norms, appended in order.
+            let (mut mu, mut class_mu) = (Vec::new(), Vec::new());
+            for i in 0..data.len() {
+                let (x, y) = (data.feature(i), data.label(i));
+                mu.push(model.hessian_norm(&w0, x, y));
+                for c in 0..model.num_classes() {
+                    class_mu.push(model.class_hessian_norm(&w0, x, c));
+                }
+            }
+            for threads in [1, 4] {
+                let snap = pool(threads).install(|| IncremInfl::initialize(model, data, &w0));
+                let snap = snap.snapshot();
+                assert_eq!(bits(&snap.w0), bits(&w0));
+                assert_eq!(bits(&snap.hessian_norms0), bits(&mu));
+                assert_eq!(bits(&snap.class_hessian_norms0), bits(&class_mu));
+                assert_eq!(snap.class_hessian_norms0.len(), 300 * model.num_classes());
+            }
+        }
     }
 
     #[test]

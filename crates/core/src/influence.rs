@@ -22,7 +22,7 @@ use chef_linalg::cg::{conjugate_gradient, CgConfig};
 use chef_linalg::{vector, Workspace};
 #[cfg(test)]
 use chef_model::Dataset;
-use chef_model::{DatasetStore, Model, WeightedObjective};
+use chef_model::{DatasetStore, Model, SoftLabel, WeightedObjective};
 use std::cmp::Ordering;
 
 /// Configuration for influence computations.
@@ -215,69 +215,103 @@ fn cmp_scores(a: &InflScore, b: &InflScore) -> Ordering {
     a.score.total_cmp(&b.score).then(a.index.cmp(&b.index))
 }
 
-/// Score one block of candidates through [`Model::score_block`] and push
-/// the per-sample best-class scores onto `out`.
-///
-/// Per sample the block kernel hands back `vᵀ∇_w(−log p⁽ᶜ⁾)` for every
-/// class plus `vᵀ∇_wF`; Eq. 6 for candidate class `c` is then
-/// `−((cd[c] − ỹᵀcd) + (1−γ)·ld)` — the `δ_y = onehot(c) − ỹ` contraction
-/// costs O(C) total because the `ỹᵀcd` term is shared by all classes.
-/// The best class is chosen by strict `<`, first class on ties, matching
-/// [`score_candidate`].
+/// Eq. 6 for every candidate class of one sample, from its
+/// [`Model::score_block`] dots: per sample the block kernel hands back
+/// `cd[c] = vᵀ∇_w(−log p⁽ᶜ⁾)` for every class plus `ld = vᵀ∇_wF`, and
+/// the score for class `c` is `−((cd[c] − ỹᵀcd) + (1−γ)·ld)` — the
+/// `δ_y = onehot(c) − ỹ` contraction costs O(C) total because the
+/// `ỹᵀcd` term is shared by all classes. Full scoring and Increm-Infl's
+/// frozen influence both read their scores from here, so the two agree
+/// bit for bit on equal dots.
+pub(crate) fn class_scores<'a>(
+    label: &'a SoftLabel,
+    cd: &'a [f64],
+    ld: f64,
+    gamma: f64,
+) -> impl Iterator<Item = f64> + 'a {
+    let mut ydot = 0.0;
+    for (k, &p) in label.probs().iter().enumerate() {
+        ydot += p * cd[k];
+    }
+    let upweight = if gamma < 1.0 { (1.0 - gamma) * ld } else { 0.0 };
+    cd.iter().map(move |&cdk| -((cdk - ydot) + upweight))
+}
+
+/// Run [`Model::score_block`] at `(w, v)` over one block of candidates
+/// and push `row(index, class_dots, label_dot)` for each onto `out`.
 #[allow(clippy::too_many_arguments)]
-fn score_block_into<M: Model + ?Sized>(
+fn map_block_into<M: Model + ?Sized, T>(
     model: &M,
     data: &dyn DatasetStore,
     w: &[f64],
     v: &[f64],
     block: &[usize],
-    gamma: f64,
+    row: &(impl Fn(usize, &[f64], f64) -> T + Sync),
     ws: &mut Workspace,
-    out: &mut Vec<InflScore>,
+    out: &mut Vec<T>,
 ) {
     let c = model.num_classes();
     let mut class_dots = ws.take_uninit(block.len() * c);
     let mut label_dots = ws.take_uninit(block.len());
     model.score_block(w, data, block, v, &mut class_dots, &mut label_dots, ws);
     for (r, &i) in block.iter().enumerate() {
-        let cd = &class_dots[r * c..(r + 1) * c];
-        let mut ydot = 0.0;
-        for (k, &p) in data.label(i).probs().iter().enumerate() {
-            ydot += p * cd[k];
-        }
-        let upweight = if gamma < 1.0 {
-            (1.0 - gamma) * label_dots[r]
-        } else {
-            0.0
-        };
-        let mut best_class = 0;
-        let mut best = f64::INFINITY;
-        for (k, &cdk) in cd.iter().enumerate() {
-            let s = -((cdk - ydot) + upweight);
-            if s < best {
-                best = s;
-                best_class = k;
-            }
-        }
-        out.push(InflScore {
-            index: i,
-            suggested: best_class,
-            score: best,
-        });
+        out.push(row(i, &class_dots[r * c..(r + 1) * c], label_dots[r]));
     }
     ws.put(label_dots);
     ws.put(class_dots);
 }
 
-/// Score every candidate through the blocked kernel path, unsorted, in
-/// candidate order. [`SCORE_BLOCK`]-sized blocks fan out over the
-/// thread pool above [`PAR_GRAIN`] candidates — but only on a
-/// pool with more than one worker: at one worker the fan-out's
-/// per-block workspaces, output vectors and final merge are pure
-/// overhead (the cause of the parallel-slower-than-serial rank cells in
-/// earlier BENCH_selector.json runs). Each sample's dots are
-/// row-independent affine products, so scores are bit-identical at
-/// every pool size regardless of block grouping.
+/// Walk `candidates` through [`Model::score_block`] at `(w, v)` and map
+/// each one's dots with `row`, in candidate order. [`SCORE_BLOCK`]-sized
+/// blocks fan out over the thread pool above [`PAR_GRAIN`] candidates —
+/// but only on a pool with more than one worker: at one worker the
+/// fan-out's per-block workspaces, output vectors and final merge are
+/// pure overhead (the cause of the parallel-slower-than-serial rank
+/// cells in earlier BENCH_selector.json runs). Each sample's dots are
+/// row-independent affine products, so the output is bit-identical at
+/// every pool size regardless of block grouping. Full scoring maps the
+/// dots to each sample's best class; Increm-Infl's bound pass maps them
+/// at `w⁽⁰⁾` to Theorem 1 intervals.
+pub(crate) fn map_scored<M: Model + ?Sized, T: Send>(
+    model: &M,
+    data: &dyn DatasetStore,
+    w: &[f64],
+    v: &[f64],
+    candidates: &[usize],
+    row: impl Fn(usize, &[f64], f64) -> T + Sync,
+) -> Vec<T> {
+    if candidates.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
+        use rayon::prelude::*;
+        let nblocks = candidates.len().div_ceil(SCORE_BLOCK);
+        let per_block: Vec<Vec<T>> = (0..nblocks)
+            .into_par_iter()
+            .map_init(Workspace::new, |ws, bi| {
+                let lo = bi * SCORE_BLOCK;
+                let hi = (lo + SCORE_BLOCK).min(candidates.len());
+                let block = &candidates[lo..hi];
+                let mut out = Vec::with_capacity(block.len());
+                map_block_into(model, data, w, v, block, &row, ws, &mut out);
+                out
+            })
+            .collect();
+        let mut mapped = Vec::with_capacity(candidates.len());
+        for mut b in per_block {
+            mapped.append(&mut b);
+        }
+        return mapped;
+    }
+    let mut ws = Workspace::new();
+    let mut mapped = Vec::with_capacity(candidates.len());
+    for block in candidates.chunks(SCORE_BLOCK) {
+        map_block_into(model, data, w, v, block, &row, &mut ws, &mut mapped);
+    }
+    mapped
+}
+
+/// Score every candidate through the blocked kernel path
+/// ([`map_scored`]), unsorted, in candidate order. The best class is
+/// chosen by strict `<`, first class on ties, matching
+/// [`score_candidate`].
 fn score_all_blocked<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,
@@ -286,32 +320,21 @@ fn score_all_blocked<M: Model + ?Sized>(
     candidates: &[usize],
     gamma: f64,
 ) -> Vec<InflScore> {
-    if candidates.len() >= PAR_GRAIN && rayon::current_num_threads() > 1 {
-        use rayon::prelude::*;
-        let nblocks = candidates.len().div_ceil(SCORE_BLOCK);
-        let per_block: Vec<Vec<InflScore>> = (0..nblocks)
-            .into_par_iter()
-            .map_init(Workspace::new, |ws, bi| {
-                let lo = bi * SCORE_BLOCK;
-                let hi = (lo + SCORE_BLOCK).min(candidates.len());
-                let block = &candidates[lo..hi];
-                let mut out = Vec::with_capacity(block.len());
-                score_block_into(model, data, w, v, block, gamma, ws, &mut out);
-                out
-            })
-            .collect();
-        let mut scores = Vec::with_capacity(candidates.len());
-        for mut b in per_block {
-            scores.append(&mut b);
+    map_scored(model, data, w, v, candidates, |index, cd, ld| {
+        let mut suggested = 0;
+        let mut score = f64::INFINITY;
+        for (k, s) in class_scores(data.label(index), cd, ld, gamma).enumerate() {
+            if s < score {
+                score = s;
+                suggested = k;
+            }
         }
-        return scores;
-    }
-    let mut ws = Workspace::new();
-    let mut scores = Vec::with_capacity(candidates.len());
-    for block in candidates.chunks(SCORE_BLOCK) {
-        score_block_into(model, data, w, v, block, gamma, &mut ws, &mut scores);
-    }
-    scores
+        InflScore {
+            index,
+            suggested,
+            score,
+        }
+    })
 }
 
 /// Score one candidate: best (most negative) Eq. 6 influence over the

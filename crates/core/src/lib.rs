@@ -75,11 +75,11 @@ pub use selector::{
     InflSelector, SampleSelector, Selection, SelectorCheckpoint, SelectorContext, SelectorStats,
 };
 
-/// Minimum number of rows before a selector sweep — Infl candidate
-/// scoring and Increm-Infl provenance initialization — fans out over the
-/// thread pool (the bound pass's dots fan out inside chef-linalg's
-/// `gather_matvec`, at 256 gathered rows). Each row costs only `C + 1` dense dot
-/// products, so the grain sits below chef-model's accumulation gate.
+/// Minimum number of rows before a selector sweep — the blocked scoring
+/// walker that Infl candidate scoring and the Increm-Infl bound pass
+/// share, and Increm-Infl's Hessian-norm initialization — fans out over
+/// the thread pool. Each row costs only O(C) work after the block
+/// panels, so the grain sits below chef-model's accumulation gate.
 /// The fan-out is additionally gated on `rayon::current_num_threads() >
 /// 1`: on a 1-worker pool the split/join overhead is pure loss
 /// (BENCH_selector.json showed the parallel bound pass *slower* than

@@ -43,7 +43,7 @@ pub struct PipelineConfig {
     /// which records nothing and leaves every result bit-identical.
     pub telemetry: Telemetry,
     /// Durable checkpointing (DESIGN.md §12): when set, the loop writes a
-    /// `checkpoint.v1` generation file every
+    /// `checkpoint.v2` generation file every
     /// [`CheckpointConfig::every_rounds`] completed rounds, and
     /// [`Pipeline::resume_round_loop_latest`] continues an interrupted
     /// run bit-identically. `None` (the default) writes nothing.
@@ -363,7 +363,7 @@ impl Pipeline {
     ///
     /// `data` must be the *pristine* training store the original run
     /// started from — the checkpoint's label patches are replayed onto
-    /// it. `checkpoint.v1` stores row indices and label vectors only, no
+    /// it. `checkpoint.v2` stores row indices and label vectors only, no
     /// feature bytes, so the same file resumes an in-memory run or an
     /// out-of-core one. `selector` must be the same selector kind the
     /// original run used; its frozen Increm-Infl provenance is restored
@@ -420,7 +420,7 @@ impl Pipeline {
         }
         ckpt.apply_labels(data)?;
         selector
-            .restore_checkpoint(ckpt.selector.clone())
+            .restore_checkpoint(ckpt.selector)
             .map_err(CheckpointError::Mismatch)?;
 
         // Replay the restored rounds into the telemetry handle so

@@ -64,8 +64,11 @@ pub struct SelectorStats {
     /// Fraction of the pool the bound eliminated (`pruned / pool`) — the
     /// quantity Exp2 (paper Table 2) measures as Increm-Infl's win.
     pub bound_hit_rate: f64,
-    /// Gradient evaluations of the Increm-Infl initialization step
-    /// (`n × (C + 1)` on the round the provenance cache is built, else 0).
+    /// Per-sample quantities the Increm-Infl initialization step
+    /// freezes at `w⁽⁰⁾` (`n × (C + 1)` on the round the provenance is
+    /// built, else 0). These are Hessian norms, one per sample plus one
+    /// per class: the step computes no gradient, but the counter keeps
+    /// its name and value so `telemetry.v1` stays stable.
     pub provenance_grads: usize,
     /// Which scoring kernel ran ([`chef_model::KernelPath::name`]:
     /// `"gemm"` for the batched closed form, `"per_sample"` for the
@@ -80,7 +83,7 @@ pub struct SelectorStats {
 
 /// Serializable selector state captured at a round boundary, so a
 /// resumed pipeline re-enters the loop with the identical selector
-/// (most importantly Increm-Infl's frozen `w⁽⁰⁾` provenance, which would
+/// (most importantly Increm-Infl's `w⁽⁰⁾` and frozen norms, which would
 /// otherwise be re-initialized at the *restored* model and change every
 /// subsequent Theorem 1 interval).
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +202,10 @@ impl SampleSelector for InflSelector {
         let v = outcome.v;
         let mut provenance_grads = 0;
         if self.use_increm && self.increm.is_none() {
-            // Initialization step: freeze provenance at w⁽⁰⁾. Costs one
-            // full-label gradient plus C per-class gradients per sample.
+            // Initialization step: freeze w⁽⁰⁾ and the Hessian norms
+            // there, one per sample plus C per-class norms. No gradient
+            // is stored: each round's frozen influence is Full's scoring
+            // kernel evaluated at w⁽⁰⁾.
             self.increm = Some(IncremInfl::initialize(ctx.model, ctx.data, ctx.w));
             provenance_grads = ctx.data.len() * (ctx.model.num_classes() + 1);
         }

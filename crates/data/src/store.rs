@@ -31,7 +31,7 @@
 //! * Labels, clean flags and ground truth are deliberately
 //!   **RAM-resident** (they are O(n), not O(n·d), and the cleaning loop
 //!   mutates them every round). Label mutations are in-memory only:
-//!   durability across crashes belongs to the `checkpoint.v1` subsystem,
+//!   durability across crashes belongs to the `checkpoint.v2` subsystem,
 //!   which re-applies its label patches to a freshly opened store on
 //!   resume.
 //!

@@ -18,23 +18,8 @@
 //! * **No hidden allocation.** Kernels write into caller buffers;
 //!   scratch comes from a [`Workspace`] that recycles `Vec`s across
 //!   calls, so steady-state hot loops allocate nothing.
-//!
-//! On a multi-worker pool [`gather_matvec`] fans row blocks out over the
-//! thread pool (`rayon` shim: deterministic chunking, chunk-ordered
-//! results); on a 1-worker pool it runs the same dots in one loop, with
-//! the same bits.
 
 use crate::vector;
-
-/// Gathered rows per task when [`gather_matvec`] fans out. 64 rows is
-/// fine-grained enough to load-balance while each task's output stays
-/// a single small allocation.
-pub const ROW_BLOCK: usize = 64;
-
-/// Minimum gathered rows before [`gather_matvec`] fans out over the
-/// thread pool. Length-only, so the chosen code path is
-/// machine-independent (same rule as chef-model's `PAR_GRAIN`).
-const PAR_GRAIN_ROWS: usize = 256;
 
 /// The panel-kernel family the batched model entry points run on, as
 /// `Model::kernel_backend` reports it and telemetry records it.
@@ -272,65 +257,6 @@ pub fn affine_nt_unrolled(x: &[f64], wb: &[f64], d: usize, out: &mut [f64]) {
     }
 }
 
-/// Gathered block matvec: `out[r] = dot(a[rows[r]*k ..][..k], x)` — one
-/// dot product per *selected* row of the row-major matrix `a`, without
-/// copying the gathered rows. This is the Increm-Infl bound pass's
-/// kernel: the provenance gradients live in one contiguous matrix and
-/// each round dots the surviving pool's rows against the influence
-/// vector.
-///
-/// Fans row blocks out over the thread pool when `rows.len() ≥ 256`
-/// and the pool has more than one worker; otherwise (single-worker
-/// pools, where the fan-out would only add per-block allocation
-/// overhead) one loop computes the same dots. Each output element is a
-/// full-row dot, so the result is bit-identical at every pool size.
-///
-/// # Panics
-/// Panics on shape mismatches or an out-of-range row index (`k = 0` is
-/// rejected).
-pub fn gather_matvec(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &mut [f64]) {
-    check_gather_shapes(a, k, rows, x, out);
-    if rows.len() >= PAR_GRAIN_ROWS && rayon::current_num_threads() > 1 {
-        use rayon::prelude::*;
-        let nblocks = rows.len().div_ceil(ROW_BLOCK);
-        let parts: Vec<Vec<f64>> = (0..nblocks)
-            .into_par_iter()
-            .map(|bi| {
-                let lo = bi * ROW_BLOCK;
-                let hi = (lo + ROW_BLOCK).min(rows.len());
-                rows[lo..hi]
-                    .iter()
-                    .map(|&r| vector::dot(&a[r * k..(r + 1) * k], x))
-                    .collect()
-            })
-            .collect();
-        let mut at = 0;
-        for part in parts {
-            out[at..at + part.len()].copy_from_slice(&part);
-            at += part.len();
-        }
-        return;
-    }
-    for (o, &r) in out.iter_mut().zip(rows) {
-        *o = vector::dot(&a[r * k..(r + 1) * k], x);
-    }
-}
-
-fn check_gather_shapes(a: &[f64], k: usize, rows: &[usize], x: &[f64], out: &[f64]) {
-    assert!(k > 0, "gather_matvec: k must be positive");
-    assert_eq!(
-        a.len() % k,
-        0,
-        "gather_matvec: a length not a multiple of k"
-    );
-    assert_eq!(x.len(), k, "gather_matvec: x length mismatch");
-    assert_eq!(out.len(), rows.len(), "gather_matvec: out length mismatch");
-    let n = a.len() / k;
-    for &r in rows {
-        assert!(r < n, "gather_matvec: row {r} out of {n}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,37 +416,5 @@ mod tests {
                 assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn gather_matvec_matches_per_row_dots() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let (n, k) = (400, 9);
-        let a = rand_vec(n * k, &mut rng);
-        let x = rand_vec(k, &mut rng);
-        // A scattered, repeated row selection longer than the grain.
-        let rows: Vec<usize> = (0..300).map(|i| (i * 7 + 3) % n).collect();
-        let at = |threads: usize| {
-            let mut out = vec![0.0; rows.len()];
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| gather_matvec(&a, k, &rows, &x, &mut out));
-            out
-        };
-        let out = at(4);
-        assert_eq!(out, at(1), "1 and 4 workers must be bit-identical");
-        for (o, &r) in out.iter().zip(&rows) {
-            let expect = crate::vector::dot(&a[r * k..(r + 1) * k], &x);
-            assert_eq!(*o, expect, "row {r}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "row 4 out of 4")]
-    fn gather_rejects_out_of_range_row() {
-        let mut out = vec![0.0; 1];
-        gather_matvec(&[0.0; 8], 2, &[4], &[1.0, 1.0], &mut out);
     }
 }

@@ -15,7 +15,7 @@
 //!   Hessian-vector products from cached parameter/gradient differences
 //!   (paper Algorithm 2, [`lbfgs`]),
 //! * cache-blocked **batch kernels** (`A·Bᵀ` GEMM, bias-folded affine
-//!   blocks, gathered matvecs) plus a reusable scratch [`Workspace`]
+//!   blocks) plus a reusable scratch [`Workspace`]
 //!   backing the batched Infl scoring path ([`kernels`]).
 //!
 //! Everything operates on `f64` slices; the parameter dimension in CHEF is

@@ -14,7 +14,7 @@
 //! * **Patch semantics** — labels, clean flags and ground truth are
 //!   small (O(n·C)) and always RAM-resident; [`DatasetStore::clean_label`]
 //!   and [`DatasetStore::set_label`] mutate them in place exactly like
-//!   [`Dataset`], so `checkpoint.v1` label-patch replay works against
+//!   [`Dataset`], so `checkpoint.v2` label-patch replay works against
 //!   any store.
 //! * **Residency hints** — [`DatasetStore::advise_range`] and
 //!   [`DatasetStore::advise_scanned`] are no-ops in memory and

@@ -1,7 +1,7 @@
 //! A minimal hand-rolled JSON parser, the read side of [`crate::json`].
 //!
 //! The offline build has no serde, so every document the workspace needs
-//! to read back — `telemetry.v1` exports and the `checkpoint.v1` files of
+//! to read back — `telemetry.v1` exports and the `checkpoint.v2` files of
 //! chef-core — goes through this parser. Two properties matter more than
 //! generality:
 //!

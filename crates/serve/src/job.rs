@@ -18,7 +18,7 @@
 //! jobs, [`JobManager::try_submit`] answers the recoverable
 //! [`ServeError::Busy`] instead of accumulating unbounded state.
 //!
-//! Jobs are backed by the `checkpoint.v1` store via their
+//! Jobs are backed by the `checkpoint.v2` store via their
 //! [`PipelineConfig::checkpoint`]: a killed job (process death, or the
 //! injected `kill_mid_round` fault) is resubmitted with
 //! [`JobRequest::resume_from`] and continues bit-identically.

@@ -33,7 +33,7 @@
 //! `tests/serve_fault.rs`: a job whose replies all arrive on time
 //! produces a report **bit-identical** to the synchronous
 //! `Pipeline::run`, however the replies were ordered — and a job killed
-//! mid-round resumes from its `checkpoint.v1` directory into the same
+//! mid-round resumes from its `checkpoint.v2` directory into the same
 //! bits.
 
 #![warn(missing_docs)]

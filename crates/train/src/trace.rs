@@ -11,7 +11,7 @@
 //! [`TraceStore::reserve_rows`] sizes the arena once up front, and the
 //! checkpoint serializer streams the whole arena with a single
 //! `push_f64s` — byte-identical to the old per-row loop, because
-//! `checkpoint.v1` always stored the rows concatenated.
+//! every checkpoint version has stored the rows concatenated.
 
 /// A dense `rows × m` matrix of provenance rows in one allocation.
 ///
@@ -108,7 +108,7 @@ impl TraceStore {
     }
 
     /// The whole arena, rows concatenated in order — exactly the byte
-    /// layout `checkpoint.v1` stores, so serialization is one call.
+    /// layout `checkpoint.v2` stores, so serialization is one call.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data

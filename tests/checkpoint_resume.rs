@@ -3,7 +3,7 @@
 //! (`PipelineConfig::faults`).
 //!
 //! The core claim under test: run the pipeline to round `R`, kill it,
-//! resume from the surviving `checkpoint.v1` generation, let it finish —
+//! resume from the surviving checkpoint generation, let it finish —
 //! and the final weights, the cleaned-label set, and the per-round
 //! telemetry are **bit-identical** to a run that was never interrupted.
 //! Wall-clock fields (`select_ms`, span durations, …) are the only
@@ -17,11 +17,11 @@
 //! workers).
 
 use chef_core::{
-    AnnotationConfig, CheckpointConfig, CheckpointError, ConstructorKind, FaultPlan, InflSelector,
-    LabelStrategy, Pipeline, PipelineConfig, PipelineReport, RoundReport, Telemetry,
+    AnnotationConfig, Checkpoint, CheckpointConfig, CheckpointError, ConstructorKind, FaultPlan,
+    InflSelector, LabelStrategy, Pipeline, PipelineConfig, PipelineReport, RoundReport, Telemetry,
 };
 use chef_linalg::Matrix;
-use chef_model::{Dataset, LogisticRegression, SoftLabel, WeightedObjective};
+use chef_model::{Dataset, LogisticRegression, Model, SoftLabel, WeightedObjective};
 use chef_train::SgdConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -311,6 +311,51 @@ fn deltagrad_incremental_resume_is_bit_identical() {
         FaultPlan::default(),
         "deltagrad-r1",
     );
+}
+
+/// The `bin_f64s` field of the newest checkpoint generation in `dir`:
+/// the payload's f64 count, as the file itself declares it.
+fn newest_bin_f64s(dir: &Path) -> usize {
+    let (_, path, _) = Checkpoint::latest_in_dir(dir).expect("a checkpoint generation");
+    let bytes = std::fs::read(path).unwrap();
+    let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+    let header = std::str::from_utf8(&bytes[..nl]).unwrap();
+    let json_len: usize = header.split(' ').nth(1).unwrap().parse().unwrap();
+    let json = std::str::from_utf8(&bytes[nl + 1..nl + 1 + json_len]).unwrap();
+    let doc = chef_obs::parse_json(json).unwrap();
+    doc.get("bin_f64s").and_then(|v| v.as_usize()).unwrap()
+}
+
+#[test]
+fn increm_checkpoint_adds_only_w0_and_the_hessian_norms() {
+    // Increm-Infl selects Full's top-b, so both runs checkpoint the same
+    // weights and DeltaGrad-L trace; what Increm adds is its provenance:
+    // w⁽⁰⁾ (m floats) and n·(C + 1) Hessian norms, no gradient row.
+    let (model, train, val, test) = fixture(1);
+    let (n, m, c) = (train.len(), model.num_params(), model.num_classes());
+    let run = |incremental: bool| {
+        let dir = scratch(if incremental {
+            "size-increm"
+        } else {
+            "size-full"
+        });
+        let cfg = base_config(&dir, FaultPlan::default(), Telemetry::disabled());
+        let mut sel = selector(incremental);
+        let report = Pipeline::new(cfg).run(&model, train.clone(), &val, &test, &mut sel);
+        let f64s = newest_bin_f64s(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        (report, f64s)
+    };
+    let (full, full_f64s) = run(false);
+    let (increm, increm_f64s) = run(true);
+    let picks = |r: &PipelineReport| -> Vec<Vec<usize>> {
+        r.rounds
+            .iter()
+            .map(|round| round.selected.iter().map(|s| s.index).collect())
+            .collect()
+    };
+    assert_eq!(picks(&increm), picks(&full), "Increm picked other samples");
+    assert_eq!(increm_f64s - full_f64s, m + n * (c + 1));
 }
 
 #[test]

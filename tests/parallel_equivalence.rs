@@ -137,12 +137,7 @@ fn increm_candidates_parallel_equals_serial() {
     };
     let (snap4, cands4, stats4, ranked4) = round(4);
     let (snap1, cands1, stats1, ranked1) = round(1);
-    assert_eq!(
-        bits(&snap4.grads0),
-        bits(&snap1.grads0),
-        "provenance diverged"
-    );
-    assert_eq!(bits(&snap4.class_grads0), bits(&snap1.class_grads0));
+    assert_eq!(bits(&snap4.w0), bits(&snap1.w0), "provenance diverged");
     assert_eq!(bits(&snap4.hessian_norms0), bits(&snap1.hessian_norms0));
     assert_eq!(
         bits(&snap4.class_hessian_norms0),

@@ -1,7 +1,8 @@
 //! Golden-file round-trip tests for the three versioned on-disk formats:
-//! `telemetry.v1` (exported JSON), `checkpoint.v1` (header + JSON +
+//! `telemetry.v1` (exported JSON), `checkpoint.v2` (header + JSON +
 //! binary payload) and `store.v1` (the out-of-core dataset manifest,
-//! DESIGN.md §15).
+//! DESIGN.md §15). The `checkpoint.v1` golden stays committed as a load
+//! fixture for files older builds wrote.
 //!
 //! Two guarantees are pinned here:
 //!
@@ -37,7 +38,9 @@ fn regen() -> bool {
 
 /// A small but fully populated checkpoint — every section of the format
 /// (label patches, round reports with telemetry, DeltaGrad-L trace,
-/// Increm-Infl provenance) is exercised.
+/// Increm-Infl provenance) is exercised. `checkpoint_v1_golden.bin` holds
+/// the same content in the v1 layout, whose Increm-Infl section also
+/// carried gradient rows (`[0.5; 2·m]` and `[0.25; 2·2·m]`).
 fn golden_checkpoint() -> Checkpoint {
     use chef_core::{IncremSnapshot, IncremStats, SelectorCheckpoint};
     let m = 3;
@@ -123,8 +126,6 @@ fn golden_checkpoint() -> Checkpoint {
         selector: SelectorCheckpoint::Infl {
             increm: Some(IncremSnapshot {
                 w0: vec![0.0; m],
-                grads0: vec![0.5; 2 * m],
-                class_grads0: vec![0.25; 2 * 2 * m],
                 hessian_norms0: vec![1.0, 2.0],
                 class_hessian_norms0: vec![0.1, 0.2, 0.3, 0.4],
                 num_params: m,
@@ -231,32 +232,65 @@ fn malformed_round_telemetry_errors_instead_of_panicking() {
     assert!(RoundTelemetry::from_json(&doc).is_err());
 }
 
+fn read_golden(name: &str) -> Vec<u8> {
+    std::fs::read(golden_dir().join(name))
+        .expect("golden file missing — run CHEF_REGEN_GOLDEN=1 cargo test --test schema_roundtrip")
+}
+
+/// Field-by-field equality with [`golden_checkpoint`].
+fn assert_is_golden_checkpoint(decoded: &Checkpoint) {
+    let want = golden_checkpoint();
+    assert_eq!(decoded.round, want.round);
+    assert_eq!(decoded.spent, want.spent);
+    assert_eq!(decoded.cleaned_total, want.cleaned_total);
+    assert_eq!(decoded.attempted, want.attempted);
+    assert_eq!(decoded.labels, want.labels);
+    assert_eq!(decoded.rounds, want.rounds);
+    assert_eq!(decoded.w_raw, want.w_raw);
+    assert_eq!(decoded.w_eval, want.w_eval);
+    assert_eq!(decoded.trace.params, want.trace.params);
+    assert_eq!(decoded.trace.grads, want.trace.grads);
+    assert_eq!(
+        decoded.trace.epoch_checkpoints,
+        want.trace.epoch_checkpoints
+    );
+    // w⁽⁰⁾, the Hessian norms and the slack, compared as a whole.
+    assert_eq!(decoded.selector, want.selector);
+}
+
 #[test]
 fn checkpoint_golden_file_reserializes_byte_identical() {
-    let path = golden_dir().join("checkpoint_v1_golden.bin");
+    let path = golden_dir().join("checkpoint_v2_golden.bin");
     if regen() {
         std::fs::create_dir_all(golden_dir()).unwrap();
         std::fs::write(&path, golden_checkpoint().to_bytes()).unwrap();
     }
-    let golden = std::fs::read(&path)
-        .expect("golden file missing — run CHEF_REGEN_GOLDEN=1 cargo test --test schema_roundtrip");
+    let golden = read_golden("checkpoint_v2_golden.bin");
     // The committed bytes still decode (format drift guard)…
     let decoded = Checkpoint::from_bytes(&golden).expect("golden checkpoint decodes");
+    assert_is_golden_checkpoint(&decoded);
     // …re-serialize byte-identically…
     assert_eq!(decoded.to_bytes(), golden);
     // …and match today's serializer output for the same logical content.
     assert_eq!(golden_checkpoint().to_bytes(), golden);
+
+    // The v1 golden (never regenerated) decodes to the same content: its
+    // gradient rows are read and dropped, so it re-serializes as v2.
+    let v1 = read_golden("checkpoint_v1_golden.bin");
+    assert!(v1.starts_with(b"checkpoint.v1 "));
+    let decoded = Checkpoint::from_bytes(&v1).expect("v1 golden checkpoint decodes");
+    assert_is_golden_checkpoint(&decoded);
+    assert_eq!(decoded.to_bytes(), golden);
 }
 
-/// The committed golden checkpoint was written before `TrainTrace` moved
-/// its provenance into flat `TraceStore` arenas. Because `checkpoint.v1`
-/// always stored the rows concatenated, a pre-TraceStore file must load
-/// into the arena with every row bit-identical — the arena is an
-/// in-memory layout change only, invisible on disk.
+/// The committed v1 golden checkpoint was written before `TrainTrace`
+/// moved its provenance into flat `TraceStore` arenas. Because the
+/// format always stored the rows concatenated, a pre-TraceStore file
+/// must load into the arena with every row bit-identical — the arena is
+/// an in-memory layout change only, invisible on disk.
 #[test]
 fn pre_tracestore_golden_checkpoint_loads_with_exact_rows() {
-    let golden = std::fs::read(golden_dir().join("checkpoint_v1_golden.bin"))
-        .expect("golden file missing — run CHEF_REGEN_GOLDEN=1 cargo test --test schema_roundtrip");
+    let golden = read_golden("checkpoint_v1_golden.bin");
     let decoded = Checkpoint::from_bytes(&golden).expect("golden checkpoint decodes");
     let m = decoded.w_raw.len();
     assert_eq!(decoded.trace.params.row_len(), m);
@@ -267,8 +301,16 @@ fn pre_tracestore_golden_checkpoint_loads_with_exact_rows() {
         assert_eq!(decoded.trace.grads.row(t), vec![-(t as f64) * 0.25; m]);
     }
     assert_eq!(decoded.trace.epoch_checkpoints.len(), 2);
-    // And the arena re-serializes to the very bytes it was read from.
-    assert_eq!(decoded.to_bytes(), golden);
+    // The Increm-Infl section past the dropped gradient rows.
+    let chef_core::SelectorCheckpoint::Infl { increm: Some(snap) } = &decoded.selector else {
+        panic!("golden checkpoint lost its Increm-Infl snapshot");
+    };
+    assert_eq!(snap.w0, vec![0.0; m]);
+    assert_eq!(snap.hessian_norms0, vec![1.0, 2.0]);
+    assert_eq!(snap.class_hessian_norms0, vec![0.1, 0.2, 0.3, 0.4]);
+    assert_eq!(snap.slack, 1.0);
+    // And the arena re-serializes to the v2 golden's very bytes.
+    assert_eq!(decoded.to_bytes(), read_golden("checkpoint_v2_golden.bin"));
 }
 
 /// A hand-assembled `store.v1` manifest with every field populated and
@@ -422,14 +464,14 @@ fn unknown_store_v2_bump_is_rejected_with_clear_error() {
 #[test]
 fn unknown_checkpoint_version_is_rejected_with_clear_error() {
     let mut bytes = golden_checkpoint().to_bytes();
-    bytes[12] = b'7'; // checkpoint.v1 → checkpoint.v7 in the header
+    bytes[12] = b'7'; // checkpoint.v2 → checkpoint.v7 in the header
     match Checkpoint::from_bytes(&bytes) {
         Err(CheckpointError::UnsupportedVersion(v)) => {
             assert_eq!(v, "checkpoint.v7");
             let msg = CheckpointError::UnsupportedVersion(v).to_string();
             assert!(
-                msg.contains("checkpoint.v1"),
-                "error names the supported version: {msg}"
+                msg.contains("checkpoint.v1") && msg.contains("checkpoint.v2"),
+                "error names both versions this build reads: {msg}"
             );
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),

@@ -5,7 +5,7 @@
 //!
 //! The acceptance scenario lives here too: N=3 concurrent tenants with
 //! out-of-order annotators, one job killed at the awaiting-annotation
-//! point and resumed from its `checkpoint.v1` directory, every final
+//! point and resumed from its `checkpoint.v2` directory, every final
 //! report bit-identical to the synchronous `Pipeline::run` — including
 //! the variant where a timed-out batch abstains identically to the
 //! synchronous injected-timeout path.

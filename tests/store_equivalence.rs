@@ -16,7 +16,7 @@
 //! without the background prefetcher) must be bit-identical to `Eager`,
 //! and a `store.v1` directory (no per-block checksum table) must still
 //! open and produce the same bits. The same equivalence is asserted
-//! through an injected crash + `checkpoint.v1` resume on a freshly
+//! through an injected crash + `checkpoint.v2` resume on a freshly
 //! opened store, and corruption lanes check that a bit-flip slips past
 //! a lazy open but is caught on first touch of its block.
 //!

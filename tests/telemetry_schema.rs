@@ -155,7 +155,7 @@ fn pipeline_emits_structured_round_telemetry() {
     assert_eq!(
         telemetry.counter("increm.provenance_grads"),
         (N_TRAIN * (NUM_CLASSES + 1)) as u64,
-        "provenance initialization: one full + C class gradients per sample"
+        "provenance initialization: one Hessian norm plus C per-class norms per sample"
     );
     assert_eq!(telemetry.counter("pipeline.rounds"), 3);
     // chef-train reports through the same handle: the initial training
