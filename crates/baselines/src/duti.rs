@@ -145,10 +145,13 @@ impl SampleSelector for Duti {
             })
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        // Borrowing iterator: `into_iter` would let `collect` reuse the
+        // pool-sized buffer (same 24-byte layout as `Selection`), and the
+        // round report keeps the result for the rest of the run.
         scored
-            .into_iter()
+            .iter()
             .take(ctx.b)
-            .map(|(index, _, suggested)| Selection {
+            .map(|&(index, _, suggested)| Selection {
                 index,
                 suggested: Some(suggested),
             })

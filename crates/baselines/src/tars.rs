@@ -83,10 +83,13 @@ impl SampleSelector for Tars {
             })
             .collect();
         scored.sort_by(|a, b| a.1.total_cmp(&b.1));
+        // Borrowing iterator: `into_iter` would let `collect` reuse the
+        // pool-sized buffer (same 24-byte layout as `Selection`), and the
+        // round report keeps the result for the rest of the run.
         scored
-            .into_iter()
+            .iter()
             .take(ctx.b)
-            .map(|(index, _, _)| Selection {
+            .map(|&(index, _, _)| Selection {
                 index,
                 suggested: None,
             })

@@ -7,7 +7,11 @@
 //! * `Time_inf`  — the whole selector phase (CG solve for `H⁻¹∇F_val`,
 //!   bound evaluation, exact influence of the surviving candidates);
 //! * `Time_grad` — the class-wise/sample-wise gradient evaluations only
-//!   (the dominant cost the paper isolates).
+//!   (the dominant cost the paper isolates): everything but the CG
+//!   solve. For Full that is one scoring pass over the pool at `w`. For
+//!   Increm-Infl it covers both kernel passes, the bound pass (Full's
+//!   scoring kernel over the pool at `w⁽⁰⁾`, plus O(C) bound arithmetic
+//!   per sample) and the exact pass over the candidates at `w`.
 //!
 //! The harness replays the first 9 rounds of the b = 10 pipeline to land
 //! in the same state the paper measures (the last round), then times both
@@ -144,9 +148,9 @@ fn measure(dataset: &str, scale: usize, reps: usize, b: usize) -> Measurement {
             &w_eval,
             &InflConfig::default(),
         );
+        let tg = Instant::now();
         let (cands, stats) =
             increm.candidates(&model, &data, &w_eval, &v, &pool, b, cfg.objective.gamma);
-        let tg = Instant::now();
         let mut inc =
             rank_infl_with_vector(&model, &data, &w_eval, &v, &cands, cfg.objective.gamma);
         let grad_inc = tg.elapsed();

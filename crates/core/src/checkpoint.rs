@@ -37,7 +37,7 @@
 use crate::increm::{IncremSnapshot, IncremStats};
 use crate::pipeline::RoundReport;
 use crate::selector::{Selection, SelectorCheckpoint};
-use chef_model::SoftLabel;
+use chef_model::{DatasetStore, SoftLabel};
 use chef_obs::parse::{expect_schema, parse_json, JsonValue, ParseError};
 use chef_obs::{JsonWriter, RoundTelemetry};
 use chef_train::{BatchPlan, TraceStore, TrainTrace};
@@ -135,7 +135,8 @@ impl From<ParseError> for CheckpointError {
 
 /// One mutated training sample: the label (and clean flag) it carries
 /// after the checkpointed rounds. Applied onto the caller's pristine
-/// dataset at resume.
+/// dataset at resume. A finished `chef-serve` job keeps the same patches
+/// as its final labels instead of its training set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelPatch {
     /// Training-set index.
@@ -144,6 +145,54 @@ pub struct LabelPatch {
     pub clean: bool,
     /// The label's class probabilities.
     pub probs: Vec<f64>,
+}
+
+impl LabelPatch {
+    /// The label and clean flag each of `indices` carries in `data` now,
+    /// in the order given.
+    pub fn capture(data: &dyn DatasetStore, indices: &[usize]) -> Vec<LabelPatch> {
+        indices
+            .iter()
+            .map(|&i| LabelPatch {
+                index: i,
+                clean: data.is_clean(i),
+                probs: data.label(i).probs().to_vec(),
+            })
+            .collect()
+    }
+
+    /// Replay `patches` onto a pristine copy of the dataset the run
+    /// started from. A patch that does not fit `data` (index out of
+    /// range, wrong class count) is a [`CheckpointError::Mismatch`].
+    pub fn replay(
+        patches: &[LabelPatch],
+        data: &mut dyn DatasetStore,
+    ) -> Result<(), CheckpointError> {
+        let c = data.num_classes();
+        for p in patches {
+            if p.index >= data.len() {
+                return Err(CheckpointError::Mismatch(format!(
+                    "label patch index {} out of range for dataset of {}",
+                    p.index,
+                    data.len()
+                )));
+            }
+            if p.probs.len() != c {
+                return Err(CheckpointError::Mismatch(format!(
+                    "label patch for sample {} has {} classes, dataset has {c}",
+                    p.index,
+                    p.probs.len()
+                )));
+            }
+            let label = SoftLabel::new(p.probs.clone());
+            if p.clean {
+                data.clean_label(p.index, label);
+            } else {
+                data.set_label(p.index, label);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Full round-boundary pipeline state. Field-for-field this is
@@ -765,38 +814,6 @@ impl Checkpoint {
         }
         Err(last_err.unwrap_or(CheckpointError::NoCheckpoint(dir.to_path_buf())))
     }
-
-    /// Replay the label patches onto a pristine copy of the dataset the
-    /// original run started from.
-    pub fn apply_labels(
-        &self,
-        data: &mut dyn chef_model::DatasetStore,
-    ) -> Result<(), CheckpointError> {
-        let c = data.num_classes();
-        for p in &self.labels {
-            if p.index >= data.len() {
-                return Err(CheckpointError::Mismatch(format!(
-                    "label patch index {} out of range for dataset of {}",
-                    p.index,
-                    data.len()
-                )));
-            }
-            if p.probs.len() != c {
-                return Err(CheckpointError::Mismatch(format!(
-                    "label patch for sample {} has {} classes, dataset has {c}",
-                    p.index,
-                    p.probs.len()
-                )));
-            }
-            let label = SoftLabel::new(p.probs.clone());
-            if p.clean {
-                data.clean_label(p.index, label);
-            } else {
-                data.set_label(p.index, label);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// `(round, path)` of every generation file in `dir`.
@@ -1062,16 +1079,19 @@ mod tests {
             2,
         );
         let ckpt = sample_checkpoint();
-        ckpt.apply_labels(&mut data).unwrap();
+        LabelPatch::replay(&ckpt.labels, &mut data).unwrap();
         assert!(data.is_clean(4));
         assert_eq!(data.label(4), &SoftLabel::onehot(1, 2));
         assert!(!data.is_clean(9));
         assert_eq!(data.label(9).probs(), &[0.25, 0.75]);
+        // Capturing the replayed rows gives the patches back.
+        let indices: Vec<usize> = ckpt.labels.iter().map(|p| p.index).collect();
+        assert_eq!(LabelPatch::capture(&data, &indices), ckpt.labels);
 
         // Out-of-range patch is a Mismatch, not a panic.
         let mut small = data.subset(&[0, 1]);
         assert!(matches!(
-            ckpt.apply_labels(&mut small),
+            LabelPatch::replay(&ckpt.labels, &mut small),
             Err(CheckpointError::Mismatch(_))
         ));
     }

@@ -53,7 +53,11 @@ pub struct ModelConstructor {
 
 impl ModelConstructor {
     /// Create a constructor; provenance caching is enabled regardless of
-    /// the flag in `sgd` because both Increm-Infl and DeltaGrad-L need it.
+    /// the flag in `sgd`. The per-iteration trace it records is read only
+    /// by DeltaGrad-L's replay, but every run writes it into its
+    /// checkpoints, so a Retrain run records it too and its checkpoint
+    /// bytes do not depend on the constructor. (Increm-Infl reads none of
+    /// it: its provenance is `w⁽⁰⁾` and the Hessian norms.)
     pub fn new(kind: ConstructorKind, mut sgd: SgdConfig) -> Self {
         sgd.cache_provenance = true;
         Self {

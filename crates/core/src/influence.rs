@@ -456,7 +456,10 @@ pub fn rank_infl_top_b<M: Model + ?Sized>(
 
 /// The unsharded top-`b`: score `candidates`, then an O(n) partial
 /// selection (`select_nth_unstable_by`) instead of sorting the full
-/// pool, and a sort of only the `b` survivors.
+/// pool, and a sort of only the `b` survivors. The result owns exactly
+/// its entries: a caller keeps it for the rest of the run (every
+/// `RoundReport::selected` is mapped from it in place), so it must not
+/// hold on to the pool-sized scoring buffer.
 fn top_b_of<M: Model + ?Sized>(
     model: &M,
     data: &dyn DatasetStore,
@@ -475,6 +478,7 @@ fn top_b_of<M: Model + ?Sized>(
         scores.truncate(b);
     }
     scores.sort_unstable_by(cmp_scores);
+    scores.shrink_to_fit();
     scores
 }
 

@@ -162,7 +162,10 @@ impl PipelineReport {
 /// whose loop mutates the caller's [`DatasetStore`] in place. An
 /// out-of-core run at n = 10⁶ must not end by cloning a quarter-gigabyte
 /// of features into RAM; callers that do want an owned snapshot call
-/// [`DatasetStore::to_dataset`] explicitly.
+/// [`DatasetStore::to_dataset`] explicitly, and callers that keep only
+/// the final labels take [`RoundLoop::label_patches`] before `finish`.
+/// A finished `chef-serve` job keeps this report and those patches, not
+/// its training set.
 #[derive(Debug, Clone)]
 pub struct StorePipelineReport {
     /// Validation F1 of the uncleaned model.
@@ -418,7 +421,7 @@ impl Pipeline {
                 ckpt.sgd_seed, cfg.sgd.seed
             )));
         }
-        ckpt.apply_labels(data)?;
+        LabelPatch::replay(&ckpt.labels, data)?;
         selector
             .restore_checkpoint(ckpt.selector)
             .map_err(CheckpointError::Mismatch)?;
@@ -476,16 +479,8 @@ impl Pipeline {
         data: &dyn DatasetStore,
         selector: &dyn SampleSelector,
     ) -> Checkpoint {
-        let mut attempted: Vec<usize> = state.attempted.iter().copied().collect();
-        attempted.sort_unstable();
-        let labels = attempted
-            .iter()
-            .map(|&i| LabelPatch {
-                index: i,
-                clean: data.is_clean(i),
-                probs: data.label(i).probs().to_vec(),
-            })
-            .collect();
+        let attempted = state.attempted_sorted();
+        let labels = LabelPatch::capture(data, &attempted);
         Checkpoint {
             round: state.round,
             spent: state.spent,

@@ -19,6 +19,7 @@
 //! its final reports against `Pipeline::run`.
 
 use crate::annotation::{AnnotationOutcome, AnnotationPhase, AnnotationStats};
+use crate::checkpoint::LabelPatch;
 use crate::constructor::{ConstructorKind, ModelConstructor};
 use crate::metrics::evaluate_f1;
 use crate::pipeline::{record_round_counters, Pipeline, RoundReport, StorePipelineReport};
@@ -95,6 +96,15 @@ pub(crate) struct LoopState {
     pub(crate) initial_val_f1: f64,
     pub(crate) initial_test_f1: f64,
     pub(crate) init_time: Duration,
+}
+
+impl LoopState {
+    /// Every sample shown to annotators so far, ascending.
+    pub(crate) fn attempted_sorted(&self) -> Vec<usize> {
+        let mut attempted: Vec<usize> = self.attempted.iter().copied().collect();
+        attempted.sort_unstable();
+        attempted
+    }
 }
 
 /// The select phase's output, parked while the batch is out for
@@ -568,6 +578,15 @@ impl<'a> RoundLoop<'a> {
             cleaned_total: self.state.cleaned_total,
             interrupted: self.interrupted,
         }
+    }
+
+    /// The current label and clean flag of every sample shown to
+    /// annotators so far, by ascending index: the only rows the loop can
+    /// have changed, so replaying them onto the pristine training set
+    /// rebuilds the loop's data exactly. These are the label patches a
+    /// checkpoint stores ([`LabelPatch::capture`] over the same rows).
+    pub fn label_patches(&self) -> Vec<LabelPatch> {
+        LabelPatch::capture(&*self.data, &self.state.attempted_sorted())
     }
 
     /// 0-based index of the next round to run (== completed rounds so

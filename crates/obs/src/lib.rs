@@ -18,15 +18,21 @@
 //! * [`Telemetry`] — the handle `chef-core` threads through
 //!   `PipelineConfig`. An enabled handle owns a shared registry fed by
 //!   `tracing`-shim spans; a disabled one records nothing.
+//!
+//! Beside them, [`LiveHeap`] is a counting global allocator that a
+//! binary or test installs to measure what a piece of work leaves on
+//! the heap.
 
 #![warn(missing_docs)]
 
+mod heap;
 pub mod json;
 pub mod metrics;
 pub mod parse;
 pub mod schema;
 mod telemetry;
 
+pub use heap::LiveHeap;
 pub use json::JsonWriter;
 pub use parse::{expect_schema, parse_json, JsonValue, ParseError};
 pub use schema::{

@@ -14,26 +14,39 @@
 //!
 //! Per lane: wall-clock over submit→drain, peak process thread count
 //! (`Threads:` in `/proc/self/status`, sampled at every submit and
-//! wait), and the `sched.*` ledger. The bench asserts the pooled lane's
-//! peak stays within pool + host + main (M+2), that every tenant's
-//! final parameter vector is bit-identical across lanes, and that
-//! pooling does not lose wall-clock beyond noise; then writes
-//! `BENCH_serve.json`. `RAYON_NUM_THREADS=1` pins the compute kernels
-//! serial so the thread census measures the scheduler, not the linear
-//! algebra.
+//! wait), the `sched.*` ledger, and memory: the live heap the manager
+//! still holds per finished job once every job has drained (the
+//! counting global allocator [`LiveHeap`]; the bench's own copies of
+//! the results are not counted), and the process's `VmHWM` after the
+//! lane (a process-wide peak, so the second lane's reading covers the
+//! first lane too). The bench asserts the pooled lane's peak stays
+//! within pool + host + main (M+2), that every tenant's final parameter
+//! vector is bit-identical across lanes, and that pooling does not lose
+//! wall-clock beyond noise; then writes `BENCH_serve.json`. `--quick`
+//! asserts instead that no lane keeps more than
+//! [`KEPT_BYTES_PER_JOB_BOUND`] per finished job.
+//! `RAYON_NUM_THREADS=1` pins the compute kernels serial so the thread
+//! census measures the scheduler, not the linear algebra.
 //!
 //! Usage: `cargo run --release -p chef-serve --bin serve_scale`
 //! (`--quick` for an 8-tenant CI smoke with no JSON output, `--tenants
 //! N` / `--workers M` to override the shape).
 
 use chef_core::Telemetry;
-use chef_obs::JsonWriter;
+use chef_obs::{JsonWriter, LiveHeap};
 use chef_serve::{
     job_request_from_spec, JobId, JobManager, SchedConfig, SimAnnotator, SimAnnotatorConfig,
 };
 use std::time::Instant;
 
 const SIM_SEED: u64 = 1;
+/// Live heap a finished job may leave in the manager (`--quick`
+/// asserts it; a job that kept its training set held about 826 KB at
+/// MIMIC/40).
+const KEPT_BYTES_PER_JOB_BOUND: f64 = 32.0 * 1024.0;
+
+#[global_allocator]
+static HEAP: LiveHeap = LiveHeap;
 
 struct Workload {
     tenants: usize,
@@ -51,22 +64,31 @@ struct LaneResult {
     peak_threads: usize,
     slices: u64,
     requeues: u64,
+    /// Live heap the manager holds after the drain, per finished job.
+    kept_bytes_per_job: f64,
+    /// The process's `VmHWM` after the lane, in MB.
+    vm_hwm_mb: f64,
     /// Per-tenant final parameter bits, the cross-lane identity probe.
     final_bits: Vec<Vec<u64>>,
 }
 
-/// Current thread count of this process (`Threads:` in
-/// `/proc/self/status`); 0 if the file is unreadable (non-Linux).
-fn current_threads() -> usize {
+/// A numeric field of `/proc/self/status` (`Threads:`, `VmHWM:` in kB);
+/// 0 if the file is unreadable (non-Linux).
+fn proc_status(field: &str) -> usize {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("Threads:"))
+                .find(|l| l.starts_with(field))
                 .and_then(|l| l.split_whitespace().nth(1))
                 .and_then(|v| v.parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// Current thread count of this process.
+fn current_threads() -> usize {
+    proc_status("Threads:")
 }
 
 fn run_lane(label: &'static str, workers: usize, w: &Workload) -> LaneResult {
@@ -82,6 +104,7 @@ fn run_lane(label: &'static str, workers: usize, w: &Workload) -> LaneResult {
         },
     );
     let mut peak_threads = current_threads();
+    let live_before = LiveHeap::bytes();
     let start = Instant::now();
     let ids: Vec<JobId> = (0..w.tenants)
         .map(|i| {
@@ -108,6 +131,15 @@ fn run_lane(label: &'static str, workers: usize, w: &Workload) -> LaneResult {
         })
         .collect();
     let wall_s = start.elapsed().as_secs_f64();
+    // Every result is dropped by now; what the bench itself still holds
+    // (the ids and the final bits) is not the manager's.
+    let bench_held = ids.capacity() * std::mem::size_of::<JobId>()
+        + final_bits.capacity() * std::mem::size_of::<Vec<u64>>()
+        + final_bits
+            .iter()
+            .map(|b| b.capacity() * std::mem::size_of::<u64>())
+            .sum::<usize>();
+    let kept = LiveHeap::bytes() - live_before - bench_held as isize;
     let tel = mgr.telemetry();
     let lane = LaneResult {
         label,
@@ -116,6 +148,8 @@ fn run_lane(label: &'static str, workers: usize, w: &Workload) -> LaneResult {
         peak_threads,
         slices: tel.counter("sched.slices"),
         requeues: tel.counter("sched.requeues"),
+        kept_bytes_per_job: kept as f64 / w.tenants.max(1) as f64,
+        vm_hwm_mb: proc_status("VmHWM:") as f64 / 1024.0,
         final_bits,
     };
     drop(mgr); // join the pool before the next lane's census
@@ -141,6 +175,12 @@ fn write_json(w: &Workload, lanes: &[LaneResult], speedup: f64) {
         "threads_metric",
         "Threads: in /proc/self/status, sampled at every submit and wait; RAYON_NUM_THREADS=1",
     );
+    j.field_str(
+        "memory_metric",
+        "kept_bytes_per_job: live heap (counting allocator) the manager holds after every job drained, \
+         minus the bench's own copies, over tenants; vm_hwm_mb: VmHWM after the lane (process-wide peak, \
+         so later lanes include earlier ones)",
+    );
     j.end_object();
     j.key("lanes");
     j.begin_array();
@@ -152,6 +192,8 @@ fn write_json(w: &Workload, lanes: &[LaneResult], speedup: f64) {
         j.field_u64("peak_threads", lane.peak_threads as u64);
         j.field_u64("sched_slices", lane.slices);
         j.field_u64("sched_requeues", lane.requeues);
+        j.field_f64("kept_bytes_per_job", lane.kept_bytes_per_job);
+        j.field_f64("vm_hwm_mb", lane.vm_hwm_mb);
         j.end_object();
     }
     j.end_array();
@@ -207,16 +249,23 @@ fn main() {
         "serve_scale: {} tenants ({} budget {} / round {}), pool {} vs thread-per-job {}",
         w.tenants, w.dataset, w.budget, w.round_size, w.workers, w.tenants
     );
+    let report = |lane: &LaneResult| {
+        eprintln!(
+            "  {:<16}: {:>7.2}s wall, peak {} threads, {} slices, {} requeues, \
+             {:.0} B kept per job, VmHWM {:.1} MB",
+            lane.label,
+            lane.wall_s,
+            lane.peak_threads,
+            lane.slices,
+            lane.requeues,
+            lane.kept_bytes_per_job,
+            lane.vm_hwm_mb
+        );
+    };
     let pooled = run_lane("pooled", w.workers, &w);
-    eprintln!(
-        "  pooled          : {:>7.2}s wall, peak {} threads, {} slices, {} requeues",
-        pooled.wall_s, pooled.peak_threads, pooled.slices, pooled.requeues
-    );
+    report(&pooled);
     let baseline = run_lane("thread-per-job", w.tenants, &w);
-    eprintln!(
-        "  thread-per-job  : {:>7.2}s wall, peak {} threads, {} slices, {} requeues",
-        baseline.wall_s, baseline.peak_threads, baseline.slices, baseline.requeues
-    );
+    report(&baseline);
 
     assert_eq!(
         pooled.final_bits, baseline.final_bits,
@@ -231,7 +280,16 @@ fn main() {
     );
     let speedup = baseline.wall_s / pooled.wall_s;
     eprintln!("  speedup (thread-per-job wall / pooled wall): {speedup:.3}x");
-    if !quick {
+    if quick {
+        for lane in [&pooled, &baseline] {
+            assert!(
+                lane.kept_bytes_per_job <= KEPT_BYTES_PER_JOB_BOUND,
+                "{} lane: the manager kept {:.0} B per finished job, bound {KEPT_BYTES_PER_JOB_BOUND}",
+                lane.label,
+                lane.kept_bytes_per_job
+            );
+        }
+    } else {
         assert!(
             pooled.wall_s <= baseline.wall_s * 1.10,
             "pooling must not cost wall-clock: {:.2}s pooled vs {:.2}s thread-per-job",

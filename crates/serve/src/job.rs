@@ -26,7 +26,7 @@
 use crate::annotator::{AnnotationRequest, AnnotatorHost, JobId};
 use crate::events::{EventKind, JobEvent};
 use crate::sched::{host_loop, worker_loop, Sched, SchedConfig, SchedStats};
-use chef_core::{PipelineConfig, PipelineReport, SampleSelector, Telemetry};
+use chef_core::{LabelPatch, PipelineConfig, SampleSelector, StorePipelineReport, Telemetry};
 use chef_model::{Dataset, Model};
 use std::fmt;
 use std::path::PathBuf;
@@ -123,12 +123,24 @@ pub struct JobStatus {
     pub error: Option<String>,
 }
 
-/// A completed job's outputs.
+/// A completed job's outputs: everything the manager keeps of it once
+/// it finishes (with its status and event log). The job's training set
+/// is dropped at finish; its final labels survive as patches, a few
+/// kilobytes instead of the whole dataset (DESIGN.md §16.2).
+/// [`JobManager::wait`] returns a clone, so the manager's copy stays for
+/// later `results` requests.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    /// The full pipeline report (bit-identical to a synchronous
-    /// `Pipeline::run` when every reply was on time).
-    pub report: PipelineReport,
+    /// The pipeline report, without the training set:
+    /// bit-identical to a synchronous `Pipeline::run` (`final_w`,
+    /// `final_w_raw`, every round) when every reply was on time.
+    pub report: StorePipelineReport,
+    /// The final label and clean flag of every sample the job showed to
+    /// annotators, by ascending index: the only rows cleaning can
+    /// change. Replaying them onto the pristine training set
+    /// ([`LabelPatch::replay`]) rebuilds the job's final data; they are
+    /// the label patches a checkpoint of the same state stores.
+    pub labels: Vec<LabelPatch>,
     /// The job's `telemetry.v1` export, when the job was given an
     /// enabled handle.
     pub telemetry_json: Option<String>,

@@ -150,8 +150,9 @@ struct JobTask {
     name: String,
     pipeline: Pipeline,
     model: Box<dyn Model + Send>,
-    /// `Some` until the loop finishes (the report consumes it).
-    train: Option<Dataset>,
+    /// The job's training set, cleaned in place. The job's result keeps
+    /// only label patches of it, so it goes when the task is dropped.
+    train: Dataset,
     val: Dataset,
     test: Dataset,
     selector: Box<dyn SampleSelector + Send>,
@@ -679,7 +680,7 @@ impl JobTask {
             name,
             pipeline: Pipeline::new(cfg),
             model,
-            train: Some(train),
+            train,
             val,
             test,
             selector,
@@ -713,7 +714,7 @@ impl JobTask {
             shared.event(EventKind::JobStart, None, String::new());
             shared.set_state(JobState::Running);
         }
-        let train = self.train.as_mut().expect("train present until finished");
+        let train = &mut self.train;
         let mut rl = match self.suspended.take() {
             Some(s) => RoundLoop::from_suspended(
                 &self.pipeline,
@@ -775,9 +776,7 @@ impl JobTask {
             );
             serve_tel.add("serve.rounds_completed", 1);
             if rl.is_interrupted() {
-                let rounds = rl.round();
-                let store_report = rl.finish();
-                return self.finish(rounds, store_report);
+                return finished(rl, &self.job_tel);
             }
         }
 
@@ -805,11 +804,7 @@ impl JobTask {
 
         // ---- Select the next batch and park at the boundary. ----
         let batch = match rl.next_batch() {
-            RoundStep::Done => {
-                let rounds = rl.round();
-                let store_report = rl.finish();
-                return self.finish(rounds, store_report);
-            }
+            RoundStep::Done => return finished(rl, &self.job_tel),
             RoundStep::Awaiting(batch) => batch,
         };
         shared.event(
@@ -849,31 +844,28 @@ impl JobTask {
         self.suspended = Some(rl.suspend());
         SliceOutcome::Parked
     }
+}
 
-    /// Finalize a finished loop's store report into the job's result
-    /// (also the partial-report path after an injected interrupt). The
-    /// caller consumes the [`chef_core::RoundLoop`] first — its borrows
-    /// of this task's fields must end before the report can take the
-    /// training set.
-    fn finish(
-        &mut self,
-        rounds: usize,
-        store_report: chef_core::StorePipelineReport,
-    ) -> SliceOutcome {
-        let cleaned_total = store_report.cleaned_total;
-        let interrupted = store_report.interrupted;
-        let report = store_report.into_report(self.train.take().expect("train still owned"));
-        let spent = report.rounds.iter().map(|r| r.selected.len()).sum();
-        SliceOutcome::Finished {
-            result: Box::new(JobResult {
-                telemetry_json: self.job_tel.export_json("serve-job"),
-                report,
-            }),
-            rounds,
-            spent,
-            cleaned_total,
-            interrupted,
-        }
+/// Finalize a finished loop into the job's result (also the
+/// partial-report path after an injected interrupt): the report the loop
+/// returns, the final labels of the rows it showed to annotators, and
+/// the job's telemetry export. The training set stays behind in the
+/// task, which the scheduler drops on [`SliceOutcome::Finished`], so a
+/// finished job keeps only its results.
+fn finished(rl: RoundLoop<'_>, job_tel: &Telemetry) -> SliceOutcome {
+    let rounds = rl.round();
+    let labels = rl.label_patches();
+    let report = rl.finish();
+    SliceOutcome::Finished {
+        rounds,
+        spent: report.rounds.iter().map(|r| r.selected.len()).sum(),
+        cleaned_total: report.cleaned_total,
+        interrupted: report.interrupted,
+        result: Box::new(JobResult {
+            telemetry_json: job_tel.export_json("serve-job"),
+            report,
+            labels,
+        }),
     }
 }
 

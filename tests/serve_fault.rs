@@ -14,12 +14,14 @@
 //! workers.
 
 use chef_core::{
-    AnnotationConfig, CheckpointConfig, FaultPlan, InflSelector, LabelStrategy, Pipeline,
-    PipelineConfig, PipelineReport, RoundReport, Telemetry,
+    AnnotationConfig, CheckpointConfig, FaultPlan, InflSelector, LabelPatch, LabelStrategy,
+    Pipeline, PipelineConfig, PipelineReport, RoundReport, Telemetry,
 };
 use chef_linalg::Matrix;
 use chef_model::{Dataset, LogisticRegression, SoftLabel, WeightedObjective};
-use chef_serve::{JobManager, JobRequest, JobState, ServeError, SimAnnotator, SimAnnotatorConfig};
+use chef_serve::{
+    JobManager, JobRequest, JobResult, JobState, ServeError, SimAnnotator, SimAnnotatorConfig,
+};
 use chef_train::SgdConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -149,6 +151,18 @@ fn assert_same_outcome(reference: &PipelineReport, served: &PipelineReport) {
     }
 }
 
+/// A served job's report with its final data rebuilt: the job keeps
+/// label patches instead of its training set, so they are replayed onto
+/// the pristine fixture it was submitted with, and `assert_same_outcome`
+/// checks every row's label and clean flag as it does for a synchronous
+/// run. A resumed job's patches include the rows restored from its
+/// checkpoint.
+fn replayed(result: &JobResult, seed: u64) -> PipelineReport {
+    let (_, mut train, _, _) = fixture(seed);
+    LabelPatch::replay(&result.labels, &mut train).expect("patches fit the fixture");
+    result.report.clone().into_report(train)
+}
+
 fn sync_reference(seed: u64, faults: FaultPlan, checkpoint_dir: Option<&Path>) -> PipelineReport {
     let (model, train, val, test) = fixture(seed);
     let mut sel = InflSelector::full();
@@ -205,7 +219,7 @@ fn dropped_batch_equals_sync_injected_timeout() {
         ..sim(21)
     })));
     let id = mgr.submit(request("tenant", 1, FaultPlan::default(), None, None));
-    let served = mgr.wait(id).expect("job completes").report;
+    let served = replayed(&mgr.wait(id).expect("job completes"), 1);
     assert_same_outcome(&reference, &served);
     assert_eq!(served.rounds[1].cleaned, 0, "round 1 abstained wholesale");
 }
@@ -253,9 +267,9 @@ fn killed_job_resumes_bit_identically_among_live_tenants() {
         Some(&dir_victim),
     ));
 
-    let report_alpha = mgr.wait(alpha).expect("alpha completes").report;
-    let report_victim = mgr.wait(resumed).expect("resumed victim completes").report;
-    let report_gamma = mgr.wait(gamma).expect("gamma completes").report;
+    let report_alpha = replayed(&mgr.wait(alpha).expect("alpha completes"), 1);
+    let report_victim = replayed(&mgr.wait(resumed).expect("resumed victim completes"), 2);
+    let report_gamma = replayed(&mgr.wait(gamma).expect("gamma completes"), 3);
 
     assert!(!report_victim.interrupted);
     assert_eq!(report_victim.rounds.len(), 4);
@@ -309,7 +323,7 @@ fn torn_checkpoint_under_serve_falls_back_a_generation() {
     let mut req = request("torn", 2, FaultPlan::default(), Some(&dir), Some(&dir));
     req.cfg.telemetry = resume_tel.clone();
     let resumed = mgr.submit(req);
-    let report = mgr.wait(resumed).expect("resumed job completes").report;
+    let report = replayed(&mgr.wait(resumed).expect("resumed job completes"), 2);
     assert!(!report.interrupted);
     assert_same_outcome(
         &sync_reference(2, FaultPlan::default(), Some(&dir_ref)),
@@ -358,7 +372,7 @@ fn stale_replies_after_resume_are_absorbed() {
         Some(&dir),
         Some(&dir),
     ));
-    let report = mgr.wait(resumed).expect("resumed job completes").report;
+    let report = replayed(&mgr.wait(resumed).expect("resumed job completes"), 3);
     assert_same_outcome(
         &sync_reference(3, FaultPlan::default(), Some(&dir_ref)),
         &report,

@@ -19,14 +19,15 @@
 //! manager's telemetry handle being enabled.
 
 use chef_core::{
-    AnnotationConfig, InflSelector, LabelStrategy, Pipeline, PipelineConfig, PipelineReport,
-    RoundReport, Telemetry,
+    AnnotationConfig, InflSelector, LabelPatch, LabelStrategy, Pipeline, PipelineConfig,
+    PipelineReport, RoundReport, Telemetry,
 };
 use chef_linalg::Matrix;
 use chef_model::{Dataset, LogisticRegression, SoftLabel, WeightedObjective};
 use chef_serve::{
     serve_connection, AnnotationRequest, AnnotatorHost, EventKind, Frame, HostDelivery, JobId,
-    JobManager, JobRequest, JobState, SchedConfig, SimAnnotator, SimAnnotatorConfig, Verb,
+    JobManager, JobRequest, JobResult, JobState, SchedConfig, SimAnnotator, SimAnnotatorConfig,
+    Verb,
 };
 use chef_train::SgdConfig;
 use rand::rngs::SmallRng;
@@ -147,6 +148,17 @@ fn assert_same_outcome(reference: &PipelineReport, served: &PipelineReport) {
     }
 }
 
+/// A served job's report with its final data rebuilt: the job keeps
+/// label patches instead of its training set, so they are replayed onto
+/// the pristine fixture it was submitted with, and `assert_same_outcome`
+/// checks every row's label and clean flag as it does for a synchronous
+/// run.
+fn replayed(result: &JobResult, seed: u64) -> PipelineReport {
+    let (_, mut train, _, _) = fixture(seed);
+    LabelPatch::replay(&result.labels, &mut train).expect("patches fit the fixture");
+    result.report.clone().into_report(train)
+}
+
 fn sync_reference(seed: u64) -> PipelineReport {
     let (model, train, val, test) = fixture(seed);
     let mut sel = InflSelector::full();
@@ -186,7 +198,7 @@ fn on_time_async_jobs_match_sync_runs() {
     for (&seed, &id) in seeds.iter().zip(&ids) {
         let result = mgr.wait(id).expect("job completes");
         assert!(!result.report.interrupted);
-        assert_same_outcome(&sync_reference(seed), &result.report);
+        assert_same_outcome(&sync_reference(seed), &replayed(&result, seed));
     }
 }
 
@@ -204,12 +216,12 @@ fn scenario_replays_bit_identically_from_seed() {
             duplicate_prob: 0.25,
             ..SimAnnotatorConfig::default()
         })));
-        let ids: Vec<JobId> = (1u64..=3)
-            .map(|s| mgr.submit(request(&format!("tenant-{s}"), s, 12)))
+        let ids: Vec<(u64, JobId)> = (1u64..=3)
+            .map(|s| (s, mgr.submit(request(&format!("tenant-{s}"), s, 12))))
             .collect();
         ids.iter()
-            .map(|&id| {
-                let report = mgr.wait(id).expect("job completes").report;
+            .map(|&(seed, id)| {
+                let report = replayed(&mgr.wait(id).expect("job completes"), seed);
                 let events = mgr.events(id).expect("job exists");
                 let doc = chef_serve::export_events(&format!("job-{}", id.0), &events);
                 (report, events, doc)
@@ -316,7 +328,7 @@ fn duplicate_replies_are_idempotent() {
     })));
     let id = mgr.submit(request("dupes", 1, 1_000));
     let result = mgr.wait(id).expect("job completes");
-    assert_same_outcome(&sync_reference(1), &result.report);
+    assert_same_outcome(&sync_reference(1), &replayed(&result, 1));
     if mgr.telemetry().is_enabled() {
         let rounds = result.report.rounds.len() as u64;
         let selected: u64 = result
@@ -415,7 +427,7 @@ fn pause_resume_preserves_bit_identity() {
         mgr.resume_job(id).expect("job exists");
     }
     let result = mgr.wait(id).expect("job completes");
-    assert_same_outcome(&sync_reference(3), &result.report);
+    assert_same_outcome(&sync_reference(3), &replayed(&result, 3));
     if state == JobState::Paused {
         let kinds: Vec<EventKind> = mgr
             .events(id)
@@ -447,7 +459,7 @@ fn cancel_terminates_job() {
         Ok(result) => {
             // The job can legitimately win the race and complete before
             // the cancel lands; then it must be a full, correct run.
-            assert_same_outcome(&sync_reference(1), &result.report);
+            assert_same_outcome(&sync_reference(1), &replayed(&result, 1));
         }
         Err(e) => panic!("unexpected terminal state: {e}"),
     }
@@ -637,8 +649,8 @@ fn pooled_fairness_big_tenant_does_not_starve_smalls() {
         .map(|&s| mgr.submit(request(&format!("small-{s}"), s, 1_000)))
         .collect();
     for (&seed, &id) in small_seeds.iter().zip(&smalls) {
-        let report = mgr.wait(id).expect("small job completes").report;
-        assert_same_outcome(&sync_reference(seed), &report);
+        let result = mgr.wait(id).expect("small job completes");
+        assert_same_outcome(&sync_reference(seed), &replayed(&result, seed));
     }
     let big_report = mgr.wait(big).expect("big job completes").report;
     assert_eq!(big_report.rounds.len(), 40, "budget 200 / round 5");
@@ -739,8 +751,8 @@ fn bounded_admission_refuses_then_recovers() {
     let c = mgr
         .try_submit(request("c", 3, 1_000))
         .expect("slot freed: admission recovers");
-    let report = mgr.wait(c).expect("job completes").report;
-    assert_same_outcome(&sync_reference(3), &report);
+    let result = mgr.wait(c).expect("job completes");
+    assert_same_outcome(&sync_reference(3), &replayed(&result, 3));
     let _ = mgr.wait(b);
 }
 
